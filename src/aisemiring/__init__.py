@@ -6,7 +6,6 @@ subalgebras, and subdirect decompositions, checks equational derivations,
 and enumerates all ai-semirings of order up to four up to isomorphism.
 """
 
-from ._kernels import active_backend, available_backends
 from .algebra import (
     AdditiveProfile,
     FiniteAiSemiring,

@@ -1,16 +1,13 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: the assignment scan, the multiplication-table
+census and canonical forms.
 
 The workbench spends almost all of its runtime in two inner loops: scanning
 every variable assignment of a finite algebra (satisfaction checks) and
-backtracking over multiplication tables (the census). Both are implemented
-twice: as numba ``@njit`` kernels and as numpy/pure-Python fallbacks.
+backtracking over multiplication tables (the census). The scan evaluates
+both sides of a check on numpy arrays, one chunk of assignments at a time;
+the census is a pure-Python backtrack.
 
-Backend selection: set ``AISEMIRING_KERNELS=numpy`` or
-``AISEMIRING_KERNELS=numba`` in the environment; unset picks numba when it
-imports, numpy otherwise. Every public function also takes an explicit
-``backend=`` override, which is what the benchmark uses to compare the two.
-
-Table/assignment conventions shared by both backends:
+Table/assignment conventions:
   * assignment index i enumerates variables in a fixed order, first
     variable in the most significant base-k digit, so ascending index is
     ascending lexicographic order of assignment tuples;
@@ -24,51 +21,21 @@ Table/assignment conventions shared by both backends:
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-_ENV_FLAG = "AISEMIRING_KERNELS"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"{_ENV_FLAG} must be 'numba' or 'numpy', not {_requested!r}"
-    )
-if _requested == "numba" and not HAVE_NUMBA:
-    raise RuntimeError(f"{_ENV_FLAG}=numba requested but numba is not importable")
-
-BACKEND = _requested or ("numba" if HAVE_NUMBA else "numpy")
+# provenance for the benchmark record; perfbench/run.py is their only reader
+HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    return BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def _resolve(backend: str | None) -> str:
-    b = backend or BACKEND
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {b!r}")
-    if b == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return b
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # assignment scans
 
-def _eval_term_py(add, mul, letters, offs, digits):
+def _eval_term(add, mul, letters, offs, digits):
     acc = None
     for w in range(len(offs) - 1):
         val = digits[:, letters[offs[w]]]
@@ -78,7 +45,11 @@ def _eval_term_py(add, mul, letters, offs, digits):
     return acc
 
 
-def _scan_numpy(add, mul, la, oa, lb, ob, nvars, mode, start, stop):
+def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop) -> int:
+    """Index of the first assignment in [start, stop) violating the check,
+    or -1 when none does."""
+    la, oa = term_a
+    lb, ob = term_b
     k = add.shape[0]
     strides = k ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
     chunk = 1 << 15
@@ -86,72 +57,18 @@ def _scan_numpy(add, mul, la, oa, lb, ob, nvars, mode, start, stop):
         hi = min(lo + chunk, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         digits = (idx[:, None] // strides[None, :]) % k
-        va = _eval_term_py(add, mul, la, oa, digits)
-        vb = _eval_term_py(add, mul, lb, ob, digits)
+        va = _eval_term(add, mul, la, oa, digits)
+        vb = _eval_term(add, mul, lb, ob, digits)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
             return int(lo + int(np.argmin(ok)))
     return -1
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _eval_term_nb(add, mul, letters, offs, assign):
-        acc = -1
-        for w in range(offs.shape[0] - 1):
-            val = assign[letters[offs[w]]]
-            for p in range(offs[w] + 1, offs[w + 1]):
-                val = mul[val, assign[letters[p]]]
-            acc = val if acc < 0 else add[acc, val]
-        return acc
-
-    @njit(cache=True, nogil=True)
-    def _scan_numba(add, mul, la, oa, lb, ob, nvars, mode, start, stop):
-        k = add.shape[0]
-        assign = np.empty(nvars, np.int64)
-        rem = start
-        for j in range(nvars - 1, -1, -1):
-            assign[j] = rem % k
-            rem //= k
-        i = start
-        while i < stop:
-            va = _eval_term_nb(add, mul, la, oa, assign)
-            vb = _eval_term_nb(add, mul, lb, ob, assign)
-            if mode == 1:
-                ok = va == vb
-            else:
-                ok = add[va, vb] == va
-            if not ok:
-                return i
-            j = nvars - 1
-            while j >= 0:
-                assign[j] += 1
-                if assign[j] == k:
-                    assign[j] = 0
-                    j -= 1
-                else:
-                    break
-            i += 1
-        return -1
-
-
-def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop,
-                    backend: str | None = None) -> int:
-    """Index of the first assignment in [start, stop) violating the check,
-    or -1 when none does."""
-    la, oa = term_a
-    lb, ob = term_b
-    if _resolve(backend) == "numba":
-        return int(_scan_numba(add, mul, la, oa, lb, ob, nvars, mode,
-                               start, stop))
-    return _scan_numpy(add, mul, la, oa, lb, ob, nvars, mode, start, stop)
-
-
 # ---------------------------------------------------------------------------
 # multiplication-table census
 
-def _compatible_py(add, mul, k):
+def _compatible(add, mul, k):
     for a in range(k):
         mua = mul[a]
         for b in range(k):
@@ -180,9 +97,15 @@ def _compatible_py(add, mul, k):
     return True
 
 
-def _census_python(add_arr):
-    k = add_arr.shape[0]
-    add = [[int(v) for v in row] for row in add_arr]
+def census_mul_tables(add) -> np.ndarray:
+    """All multiplication tables completing ``add`` to an ai-semiring.
+
+    Returns an (n, k*k) array of row-major tables; the search fills cells
+    row-major and prunes on every determined associativity/distributivity
+    instance, so each returned table passes the full axiom check.
+    """
+    k = len(add)
+    add = [[int(v) for v in row] for row in add]
     ncells = k * k
     mul = [[-1] * k for _ in range(k)]
     cand = [-1] * ncells
@@ -197,7 +120,7 @@ def _census_python(add_arr):
             depth -= 1
             continue
         mul[i][j] = cand[depth]
-        if not _compatible_py(add, mul, k):
+        if not _compatible(add, mul, k):
             continue
         if depth == ncells - 1:
             results.append([mul[c // k][c % k] for c in range(ncells)])
@@ -206,84 +129,6 @@ def _census_python(add_arr):
     if not results:
         return np.empty((0, ncells), np.int64)
     return np.array(results, dtype=np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _compatible_nb(add, mul):
-        k = add.shape[0]
-        for a in range(k):
-            for b in range(k):
-                ab = mul[a, b]
-                for c in range(k):
-                    bc = mul[b, c]
-                    if ab >= 0 and bc >= 0:
-                        left = mul[ab, c]
-                        right = mul[a, bc]
-                        if left >= 0 and right >= 0 and left != right:
-                            return False
-                    r1 = mul[a, b]
-                    r2 = mul[a, c]
-                    if r1 >= 0 and r2 >= 0:
-                        lhs = mul[a, add[b, c]]
-                        if lhs >= 0 and lhs != add[r1, r2]:
-                            return False
-                    r4 = mul[b, c]
-                    if r2 >= 0 and r4 >= 0:
-                        lhs = mul[add[a, b], c]
-                        if lhs >= 0 and lhs != add[r2, r4]:
-                            return False
-        return True
-
-    @njit(cache=True, nogil=True)
-    def _census_numba(add, out):
-        k = add.shape[0]
-        ncells = k * k
-        mul = np.full((k, k), -1, np.int64)
-        cand = np.full(ncells, -1, np.int64)
-        count = 0
-        depth = 0
-        while depth >= 0:
-            i = depth // k
-            j = depth % k
-            cand[depth] += 1
-            if cand[depth] >= k:
-                cand[depth] = -1
-                mul[i, j] = -1
-                depth -= 1
-                continue
-            mul[i, j] = cand[depth]
-            if not _compatible_nb(add, mul):
-                continue
-            if depth == ncells - 1:
-                if count < out.shape[0]:
-                    for c in range(ncells):
-                        out[count, c] = mul[c // k, c % k]
-                count += 1
-                continue
-            depth += 1
-        return count
-
-
-def census_mul_tables(add, backend: str | None = None) -> np.ndarray:
-    """All multiplication tables completing ``add`` to an ai-semiring.
-
-    Returns an (n, k*k) array of row-major tables; the search fills cells
-    row-major and prunes on every determined associativity/distributivity
-    instance, so each returned table passes the full axiom check.
-    """
-    add = np.ascontiguousarray(add, dtype=np.int64)
-    k = add.shape[0]
-    if _resolve(backend) == "numpy":
-        return _census_python(add)
-    cap = 4096
-    while True:
-        out = np.empty((cap, k * k), np.int64)
-        n = int(_census_numba(add, out))
-        if n <= cap:
-            return out[:n].copy()
-        cap = 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +142,16 @@ def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, invs
 
 
-def _canonical_pairs_numpy(add, muls, perms, invs):
-    n, k = muls.shape[0], add.shape[0]
+def canonical_pairs(add, muls) -> list[bytes]:
+    """Canonical form of (add, mul) for each mul: the lexicographically
+    least relabelling of both tables, flattened add-then-mul."""
+    add = np.ascontiguousarray(add, dtype=np.int64)
+    k = add.shape[0]
+    muls = np.ascontiguousarray(muls, dtype=np.int64).reshape(-1, k, k)
+    n = muls.shape[0]
+    if n == 0:
+        return []
+    perms, invs = permutation_arrays(k)
     width = 2 * k * k
     best: list[bytes] = [b""] * n
     rng = np.arange(n)
@@ -317,57 +170,8 @@ def _canonical_pairs_numpy(add, muls, perms, invs):
     return best
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _canonical_pairs_numba(add, muls, perms, invs, out):
-        n = muls.shape[0]
-        npr = perms.shape[0]
-        k = add.shape[0]
-        width = 2 * k * k
-        cur = np.empty(width, np.uint8)
-        for t in range(n):
-            for p in range(npr):
-                pos = 0
-                for x in range(k):
-                    for y in range(k):
-                        cur[pos] = perms[p, add[invs[p, x], invs[p, y]]]
-                        pos += 1
-                for x in range(k):
-                    for y in range(k):
-                        cur[pos] = perms[p, muls[t, invs[p, x], invs[p, y]]]
-                        pos += 1
-                if p == 0:
-                    out[t, :] = cur
-                else:
-                    for c in range(width):
-                        if cur[c] < out[t, c]:
-                            out[t, :] = cur
-                            break
-                        if cur[c] > out[t, c]:
-                            break
-
-
-def canonical_pairs(add, muls, backend: str | None = None) -> list[bytes]:
-    """Canonical form of (add, mul) for each mul: the lexicographically
-    least relabelling of both tables, flattened add-then-mul."""
-    add = np.ascontiguousarray(add, dtype=np.int64)
-    k = add.shape[0]
-    muls = np.ascontiguousarray(muls, dtype=np.int64).reshape(-1, k, k)
-    if muls.shape[0] == 0:
-        return []
-    perms, invs = permutation_arrays(k)
-    if _resolve(backend) == "numba":
-        out = np.empty((muls.shape[0], 2 * k * k), np.uint8)
-        _canonical_pairs_numba(add, muls, perms, invs, out)
-        blob = out.tobytes()
-        width = 2 * k * k
-        return [blob[i * width:(i + 1) * width] for i in range(muls.shape[0])]
-    return _canonical_pairs_numpy(add, muls, perms, invs)
-
-
-def canonical_pair(add, mul, backend: str | None = None) -> bytes:
-    return canonical_pairs(add, np.asarray(mul)[None, :, :], backend)[0]
+def canonical_pair(add, mul) -> bytes:
+    return canonical_pairs(add, np.asarray(mul)[None, :, :])[0]
 
 
 def unpack_pair(form: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +179,7 @@ def unpack_pair(form: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     return flat[: k * k].reshape(k, k).copy(), flat[k * k:].reshape(k, k).copy()
 
 
-def canonical_table(table, backend: str | None = None) -> bytes:
+def canonical_table(table) -> bytes:
     """Canonical form of a single table (used for additive reducts)."""
     arr = np.ascontiguousarray(table, dtype=np.int64)
     k = arr.shape[0]
@@ -391,21 +195,3 @@ def canonical_table(table, backend: str | None = None) -> bytes:
 
 def unpack_table(form: bytes, k: int) -> np.ndarray:
     return np.frombuffer(form, dtype=np.uint8).astype(np.int64).reshape(k, k).copy()
-
-
-_warmed: set[str] = set()
-
-
-def warmup(backend: str | None = None) -> None:
-    """Trigger JIT compilation of the numba kernels on a toy problem so the
-    one-time cost does not land inside a timed operation. No-op for numpy."""
-    b = _resolve(backend)
-    if b != "numba" or b in _warmed:
-        return
-    add = np.array([[0, 1], [1, 1]], np.int64)
-    mul = np.array([[0, 0], [0, 1]], np.int64)
-    term = (np.array([0, 1], np.int64), np.array([0, 2], np.int64))
-    first_violation(add, mul, term, term, 2, 1, 0, 4, backend=b)
-    census_mul_tables(add, backend=b)
-    canonical_pairs(add, mul[None, :, :], backend=b)
-    _warmed.add(b)

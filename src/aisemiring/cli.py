@@ -310,7 +310,7 @@ def cmd_subdirect(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        algebras = enumerate_ai_semirings(args.order, threads=args.threads)
+        algebras = enumerate_ai_semirings(args.order)
     except ValueError as exc:
         raise _usage(str(exc)) from None
     screened = algebras
@@ -413,7 +413,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count(),
-        help="worker count for enumeration and brute force (default: all CPUs)",
+        help="worker count for brute-force assignment scans (default: all CPUs)",
     )
 
 

@@ -235,10 +235,15 @@ def _subsets(words: frozenset[Word], cap: int = 3):
         yield frozenset(ws)
 
 
-def _neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
-               image_pool: list[Variable]):
-    """Deterministic list of (next_term, step) one rewrite away from t,
-    plus the number of rewrites pruned for exceeding the bounds."""
+def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
+              image_pool: list[Variable]):
+    """One-step rewrites of t: every (next_term, step) one rule application
+    away, plus the number of rewrites pruned for exceeding the bounds.
+
+    Each rule is tried in both orientations; variables of the target side
+    that the match leaves unbound are instantiated from ``image_pool``.
+    The list is sorted by term, so the result is deterministic.
+    """
     out: list[tuple[Term, DerivationStep]] = []
     pruned = 0
     for rule in sigma:
@@ -310,9 +315,9 @@ def search_derivation(sigma: list[Identity], claim: Identity,
     for _ in range(bounds.max_chain - 1):
         nxt: list[Term] = []
         for t in frontier:
-            neighbors, pruned = _neighbors(sigma, t, bounds, image_pool)
+            options, pruned = neighbors(sigma, t, bounds, image_pool)
             total_pruned += pruned
-            for t2, step in neighbors:
+            for t2, step in options:
                 if t2 in back:
                     continue
                 back[t2] = (t, step)

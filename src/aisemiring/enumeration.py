@@ -9,8 +9,6 @@ ordering follow the canonical forms, not any external numbering.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +16,6 @@ import numpy as np
 from . import _kernels
 from .algebra import FiniteAiSemiring, profile_from_add
 from .family import member_of_W
-
-#: optional cap on the in-memory dedup set of canonical forms
-_CAP_ENV = "AISEMIRING_CENSUS_CAP"
 
 
 def _is_associative(table: np.ndarray) -> bool:
@@ -54,8 +49,7 @@ def enumerate_semilattices(k: int) -> list[np.ndarray]:
     return [_kernels.unpack_table(f, k) for f in sorted(found)]
 
 
-def enumerate_ai_semirings(k: int, *, threads: int | None = None,
-                           backend: str | None = None) -> list[FiniteAiSemiring]:
+def enumerate_ai_semirings(k: int) -> list[FiniteAiSemiring]:
     """All ai-semirings of order k up to isomorphism, canonical and sorted.
 
     Every ai-semiring is isomorphic to one whose addition table is a
@@ -64,27 +58,12 @@ def enumerate_ai_semirings(k: int, *, threads: int | None = None,
     """
     if not 1 <= k <= 4:
         raise ValueError("ai-semiring census supports orders 1..4")
-    semilattices = enumerate_semilattices(k)
-
-    def job(add: np.ndarray) -> list[bytes]:
-        muls = _kernels.census_mul_tables(add, backend=backend)
-        return _kernels.canonical_pairs(add, muls, backend=backend)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_lattice = list(ex.map(job, semilattices))
-    else:
-        per_lattice = [job(a) for a in semilattices]
-
-    forms = sorted({f for chunk in per_lattice for f in chunk})
-    cap = os.environ.get(_CAP_ENV)
-    if cap is not None and len(forms) > int(cap):
-        raise RuntimeError(
-            f"census dedup set has {len(forms)} forms, over the {_CAP_ENV}={cap} cap"
-        )
+    forms: set[bytes] = set()
+    for add in enumerate_semilattices(k):
+        forms.update(_kernels.canonical_pairs(add, _kernels.census_mul_tables(add)))
     labels = [str(i + 1) for i in range(k)]
     out = []
-    for i, form in enumerate(forms):
+    for i, form in enumerate(sorted(forms)):
         add, mul = _kernels.unpack_pair(form, k)
         out.append(FiniteAiSemiring(f"A{k}_{i + 1:03d}", labels, add, mul))
     return out
@@ -123,11 +102,11 @@ def classify_additive_type(algebras: list[FiniteAiSemiring]) -> list[AdditiveTyp
 
 
 def screen_family(algebras: list[FiniteAiSemiring], n_max: int, *,
-                  force: bool = False, threads: int | None = None,
-                  backend: str | None = None) -> list[FiniteAiSemiring]:
+                  force: bool = False,
+                  threads: int | None = None) -> list[FiniteAiSemiring]:
     """Subset of a census satisfying the family inequality for all n <= n_max."""
     return [
         S
         for S in algebras
-        if member_of_W(S, n_max, force=force, threads=threads, backend=backend)
+        if member_of_W(S, n_max, force=force, threads=threads)
     ]

@@ -49,8 +49,8 @@ class FamilyVerdict:
 
 
 def in_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
-         force: bool = False, threads: int | None = None,
-         backend: str | None = None) -> list[FamilyVerdict]:
+         force: bool = False,
+         threads: int | None = None) -> list[FamilyVerdict]:
     """Brute-force verdict of the family inequality for each n <= n_max.
 
     This only certifies membership up to n_max; the defining class quantifies
@@ -70,15 +70,12 @@ def in_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
         out.append(
             FamilyVerdict(
                 n,
-                holds_inequality(S, fam.q, fam.u, force=force, threads=threads,
-                                 backend=backend),
+                holds_inequality(S, fam.q, fam.u, force=force, threads=threads),
             )
         )
     return out
 
 
 def member_of_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
-                force: bool = False, threads: int | None = None,
-                backend: str | None = None) -> bool:
-    return all(v.holds for v in in_W(S, n_max, force=force, threads=threads,
-                                     backend=backend))
+                force: bool = False, threads: int | None = None) -> bool:
+    return all(v.holds for v in in_W(S, n_max, force=force, threads=threads))

@@ -99,12 +99,10 @@ def _guard(k: int, nvars: int, force: bool) -> None:
 
 
 def _scan(S: FiniteAiSemiring, ca, cb, nvars: int, mode: int,
-          threads: int | None, backend: str | None) -> int:
+          threads: int | None) -> int:
     total = S.order ** nvars
     if not threads or threads <= 1 or total < _PARALLEL_THRESHOLD:
-        return _kernels.first_violation(
-            S.add, S.mul, ca, cb, nvars, mode, 0, total, backend=backend
-        )
+        return _kernels.first_violation(S.add, S.mul, ca, cb, nvars, mode, 0, total)
     chunk = max(_PARALLEL_THRESHOLD // 2, -(-total // (threads * 8)))
     starts = list(range(0, total, chunk))
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -114,7 +112,7 @@ def _scan(S: FiniteAiSemiring, ca, cb, nvars: int, mode: int,
                 ex.map(
                     lambda lo: _kernels.first_violation(
                         S.add, S.mul, ca, cb, nvars, mode,
-                        lo, min(lo + chunk, total), backend=backend,
+                        lo, min(lo + chunk, total),
                     ),
                     batch,
                 )
@@ -128,8 +126,8 @@ def _scan(S: FiniteAiSemiring, ca, cb, nvars: int, mode: int,
 
 
 def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
-                     force: bool = False, threads: int | None = None,
-                     backend: str | None = None) -> SatisfactionVerdict:
+                     force: bool = False,
+                     threads: int | None = None) -> SatisfactionVerdict:
     """Exhaustively decide whether q lies below u in S.
 
     The inequality means u ~ u + q as an identity; a counterexample carries
@@ -139,8 +137,7 @@ def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
     _guard(S.order, len(variables), force)
     vi = {x: i for i, x in enumerate(variables)}
     qt = Term([q])
-    idx = _scan(S, _compiled(u, vi), _compiled(qt, vi), len(variables), 0,
-                threads, backend)
+    idx = _scan(S, _compiled(u, vi), _compiled(qt, vi), len(variables), 0, threads)
     if idx < 0:
         return SatisfactionVerdict(True)
     a = _assignment_from_index(idx, variables, S.order)
@@ -150,14 +147,13 @@ def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
 
 
 def holds_identity(S: FiniteAiSemiring, u: Term, v: Term, *,
-                   force: bool = False, threads: int | None = None,
-                   backend: str | None = None) -> SatisfactionVerdict:
+                   force: bool = False,
+                   threads: int | None = None) -> SatisfactionVerdict:
     """Exhaustively decide whether u ~ v holds in S."""
     variables = sorted(content(u) | content(v))
     _guard(S.order, len(variables), force)
     vi = {x: i for i, x in enumerate(variables)}
-    idx = _scan(S, _compiled(u, vi), _compiled(v, vi), len(variables), 1,
-                threads, backend)
+    idx = _scan(S, _compiled(u, vi), _compiled(v, vi), len(variables), 1, threads)
     if idx < 0:
         return SatisfactionVerdict(True)
     a = _assignment_from_index(idx, variables, S.order)

@@ -14,9 +14,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import _kernels
 from .algebra import natural_order, registry, validate
-from .derivation import SearchBounds, check_derivation, search_derivation
+from .derivation import SearchBounds, check_derivation, neighbors, search_derivation
 from .enumeration import (
     classify_additive_type,
     enumerate_ai_semirings,
@@ -38,7 +37,6 @@ from .satisfaction import (
     holds_identity,
     holds_inequality,
 )
-from .derivation import _neighbors
 from .structure import Partition, are_isomorphic, check_subdirect, quotient, subalgebra
 from .terms import Term, Word, content, delta, occ, parse_term
 
@@ -182,10 +180,10 @@ def claim_subdirect():
     return expected, f"R6 decomposition ok={ok1}, S4_359 decomposition ok={ok2}"
 
 
-def claim_family_brute_force(threads=None, backend=None):
+def claim_family_brute_force(threads=None):
     failing = []
     for name in ("S2", "S7", "S53", "S4_124"):
-        for v in in_W(registry(name), 3, threads=threads, backend=backend):
+        for v in in_W(registry(name), 3, threads=threads):
             if not v.holds:
                 failing.append((name, v.n))
     expected = "S2, S7, S53, S4_124 satisfy the family inequality for n=1..3"
@@ -202,7 +200,7 @@ def random_inequality(rng: random.Random, variables=("x", "y", "z", "w"),
     return q, u
 
 
-def claim_decider_oracle(count: int = 10_000, threads=None, backend=None):
+def claim_decider_oracle(count: int = 10_000):
     rng = random.Random(_SEED)
     pairs = [
         ("S2", decide_s2),
@@ -216,7 +214,7 @@ def claim_decider_oracle(count: int = 10_000, threads=None, backend=None):
         q, u = random_inequality(rng)
         for name, decider in pairs:
             got = decider(q, u)
-            want = holds_inequality(algebras[name], q, u, backend=backend).holds
+            want = holds_inequality(algebras[name], q, u).holds
             if got != want:
                 mismatches += 1
                 if first is None:
@@ -334,13 +332,13 @@ def claim_graphs(count: int = 1000):
     return expected, expected
 
 
-def claim_census_3(threads=None, backend=None):
-    n = len(enumerate_ai_semirings(3, threads=threads, backend=backend))
+def claim_census_3():
+    n = len(enumerate_ai_semirings(3))
     return "61 isomorphism classes of order 3", f"{n} isomorphism classes of order 3"
 
 
-def claim_census_4(threads=None, backend=None):
-    algebras = enumerate_ai_semirings(4, threads=threads, backend=backend)
+def claim_census_4():
+    algebras = enumerate_ai_semirings(4)
     types = classify_additive_type(algebras)
     two_two = [t.count for t in types if (t.n_minimals, t.n_coatoms) == (2, 2)]
     observed = (
@@ -351,9 +349,9 @@ def claim_census_4(threads=None, backend=None):
     return "866 classes, 5 additive types, 217 with two minimals and two coatoms", observed
 
 
-def claim_screen_3(threads=None, backend=None):
-    algebras = enumerate_ai_semirings(3, threads=threads, backend=backend)
-    passing = screen_family(algebras, 2, threads=threads, backend=backend)
+def claim_screen_3(threads=None):
+    algebras = enumerate_ai_semirings(3)
+    passing = screen_family(algebras, 2, threads=threads)
     missing = [
         name
         for name in ("S2", "S7", "S53")
@@ -411,14 +409,14 @@ def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
     cur = start
     pool = sorted(content(start)) or ["a"]
     for _ in range(rng.randint(1, 2)):
-        options, _ = _neighbors(sigma, cur, bounds, pool)
+        options, _ = neighbors(sigma, cur, bounds, pool)
         if not options:
             break
         cur = options[rng.randrange(len(options))][0]
     return start, cur
 
 
-def claim_derivation_soundness(count: int = 1000, backend=None):
+def claim_derivation_soundness(count: int = 1000):
     rng = random.Random(_SEED + 3)
     pool = (
         enumerate_ai_semirings(1)
@@ -444,8 +442,8 @@ def claim_derivation_soundness(count: int = 1000, backend=None):
             )
         sample = [pool[rng.randrange(len(pool))] for _ in range(4)]
         for S in sample:
-            if all(holds_identity(S, s, sp, backend=backend).holds for s, sp in sigma):
-                if not holds_identity(S, claim[0], claim[1], backend=backend).holds:
+            if all(holds_identity(S, s, sp).holds for s, sp in sigma):
+                if not holds_identity(S, claim[0], claim[1]).holds:
                     return (
                         "models of sigma satisfy every derived claim",
                         f"case {i}: {S.name} satisfies sigma but not the claim",
@@ -465,79 +463,80 @@ def claim_out_of_scope():
 
 # ---------------------------------------------------------------------------
 
-#: claim_id -> (description, time budget in seconds, needs --full, runner)
+#: claim_id -> (description, time budget in seconds, needs --full, runner);
+#: runner(threads) returns (expected, observed), threads going to brute-force scans
 CLAIM_TABLE = {
     "registry-valid": (
         "reference Cayley tables satisfy all ai-semiring axioms",
         1.0,
         False,
-        lambda threads, backend: claim_registry_valid(),
+        lambda threads: claim_registry_valid(),
     ),
     "profile-s4-124": (
         "additive profile of S4_124 (top, minimals, coatoms)",
         1.0,
         False,
-        lambda threads, backend: claim_profile_s4_124(),
+        lambda threads: claim_profile_s4_124(),
     ),
     "structure-s4-124": (
         "S4_124 contains S2 and S53 and maps onto S7",
         1.0,
         False,
-        lambda threads, backend: claim_structure_s4_124(),
+        lambda threads: claim_structure_s4_124(),
     ),
     "subdirect-decompositions": (
         "R6 and S4_359 split as subdirect products",
         1.0,
         False,
-        lambda threads, backend: claim_subdirect(),
+        lambda threads: claim_subdirect(),
     ),
     "family-brute-force": (
         "reference algebras satisfy the cycle-family inequality, n=1..3",
         5.0,
         False,
-        lambda threads, backend: claim_family_brute_force(threads, backend),
+        lambda threads: claim_family_brute_force(threads),
     ),
     "decider-oracle": (
         "syntactic deciders agree with brute force on 10,000 inequalities",
         60.0,
         False,
-        lambda threads, backend: claim_decider_oracle(threads=threads, backend=backend),
+        lambda threads: claim_decider_oracle(),
     ),
     "delta-computation": (
         "delta is empty on the family and matches the subset oracle",
         5.0,
         False,
-        lambda threads, backend: claim_delta(),
+        lambda threads: claim_delta(),
     ),
     "graph-bipartition": (
         "odd cycles detected; constrained bipartitions built and refused correctly",
         30.0,
         False,
-        lambda threads, backend: claim_graphs(),
+        lambda threads: claim_graphs(),
     ),
     "census-order-3": (
         "census of order-3 ai-semirings up to isomorphism",
         30.0,
         False,
-        lambda threads, backend: claim_census_3(threads, backend),
+        lambda threads: claim_census_3(),
     ),
     "census-order-4": (
         "census of order-4 ai-semirings with additive-type split",
         900.0,
         True,
-        lambda threads, backend: claim_census_4(threads, backend),
+        lambda threads: claim_census_4(),
     ),
     "screen-order-3": (
         "order-3 classes passing the family screen at n<=2",
         60.0,
         False,
-        lambda threads, backend: claim_screen_3(threads, backend),
+        lambda threads: claim_screen_3(threads),
     ),
     "derivation-soundness": (
         "fuzzed derivation searches are checker-certified and model-sound",
         120.0,
         False,
-        lambda threads, backend: claim_derivation_soundness(backend=backend),
+        lambda threads: claim_derivation_soundness(),
     ),
 }
 
@@ -550,9 +549,7 @@ OUT_OF_SCOPE = {
 
 
 def run_claims(full: bool = False, threads: int | None = None,
-               backend: str | None = None,
                only: set[str] | None = None) -> RunReport:
-    _kernels.warmup(backend)
     claims: list[ClaimResult] = []
     for claim_id, (desc, _budget, needs_full, runner) in CLAIM_TABLE.items():
         if only is not None and claim_id not in only:
@@ -564,7 +561,7 @@ def run_claims(full: bool = False, threads: int | None = None,
             continue
         t0 = time.perf_counter()
         try:
-            expected, observed = runner(threads, backend)
+            expected, observed = runner(threads)
             status = "pass" if expected == observed else "fail"
         except Exception as exc:  # claim code raising is a failure, not a crash
             expected, observed = "claim runs to completion", f"{type(exc).__name__}: {exc}"

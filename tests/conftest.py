@@ -1,14 +1,6 @@
 import pytest
 
-from aisemiring import _kernels
 from aisemiring.algebra import registry
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile the numba kernels once so timed tests measure the
-    # algorithms, not compilation
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

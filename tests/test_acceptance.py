@@ -1,9 +1,11 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail
-line with its runtime and enforcing the stated time budget.
+line with its runtime and enforcing its time budget.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; ``aisemiring paper-verify --full`` drives the same claim functions
-from the command line.
+The claim tests are parametrized over ``verify.CLAIM_TABLE``, so each
+budget lives in that table alone. Run with
+``pytest -s tests/test_acceptance.py`` to see the per-criterion lines;
+``aisemiring paper-verify --full`` drives the same claim functions from the
+command line.
 """
 
 import time
@@ -13,67 +15,21 @@ import pytest
 from aisemiring import verify
 
 
-def _run(criterion, budget_seconds, fn):
+@pytest.mark.parametrize("claim_id", list(verify.CLAIM_TABLE))
+def test_criterion(claim_id):
+    _desc, budget_seconds, _needs_full, runner = verify.CLAIM_TABLE[claim_id]
     t0 = time.perf_counter()
-    expected, observed = fn()
+    expected, observed = runner(None)
     elapsed = time.perf_counter() - t0
     ok = expected == observed
     print(
-        f"criterion {criterion}: {'PASS' if ok else 'FAIL'} "
+        f"criterion {claim_id}: {'PASS' if ok else 'FAIL'} "
         f"({elapsed:.2f}s of {budget_seconds:.0f}s budget)"
     )
-    assert ok, f"criterion {criterion}: expected {expected!r}, observed {observed!r}"
+    assert ok, f"criterion {claim_id}: expected {expected!r}, observed {observed!r}"
     assert elapsed < budget_seconds, (
-        f"criterion {criterion} exceeded its {budget_seconds}s budget: {elapsed:.2f}s"
+        f"criterion {claim_id} exceeded its {budget_seconds}s budget: {elapsed:.2f}s"
     )
-
-
-def test_criterion_01_registry_validity():
-    _run(1, 1.0, verify.claim_registry_valid)
-
-
-def test_criterion_02_additive_profile():
-    _run(2, 1.0, verify.claim_profile_s4_124)
-
-
-def test_criterion_03_substructures():
-    _run(3, 1.0, verify.claim_structure_s4_124)
-
-
-def test_criterion_04_subdirect_decompositions():
-    _run(4, 1.0, verify.claim_subdirect)
-
-
-def test_criterion_05_family_membership():
-    _run(5, 5.0, verify.claim_family_brute_force)
-
-
-def test_criterion_06_decider_oracle_equivalence():
-    _run(6, 60.0, lambda: verify.claim_decider_oracle(10_000))
-
-
-def test_criterion_07_delta_computation():
-    _run(7, 5.0, verify.claim_delta)
-
-
-def test_criterion_08_graph_bipartition():
-    _run(8, 30.0, lambda: verify.claim_graphs(1000))
-
-
-def test_criterion_09_census_order_3():
-    _run(9, 30.0, verify.claim_census_3)
-
-
-def test_criterion_10_census_order_4():
-    _run(10, 900.0, verify.claim_census_4)
-
-
-def test_criterion_11_family_screening():
-    _run(11, 60.0, verify.claim_screen_3)
-
-
-def test_criterion_12_derivation_soundness():
-    _run(12, 120.0, lambda: verify.claim_derivation_soundness(1000))
 
 
 def test_criterion_13_out_of_scope_declared(monkeypatch):

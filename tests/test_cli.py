@@ -248,7 +248,7 @@ class TestPaperVerify:
             "reference Cayley tables satisfy all ai-semiring axioms",
             1.0,
             False,
-            lambda threads, backend: ("all pass", "S7 corrupted"),
+            lambda threads: ("all pass", "S7 corrupted"),
         )
         trimmed = {k: broken[k] for k in ("registry-valid", "profile-s4-124")}
         monkeypatch.setattr(verify, "CLAIM_TABLE", trimmed)

@@ -1,19 +1,11 @@
 import random
 
-import numpy as np
-import pytest
-
 from aisemiring import _kernels
 from aisemiring.algebra import registry
 from aisemiring.enumeration import enumerate_semilattices
 from aisemiring.satisfaction import _compiled
 from aisemiring.terms import content
 from aisemiring.verify import random_inequality
-
-BACKENDS = _kernels.available_backends()
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="numba backend unavailable"
-)
 
 
 def _compile_pair(S, q, u):
@@ -25,23 +17,6 @@ def _compile_pair(S, q, u):
 
 
 class TestScan:
-    @needs_both
-    def test_backends_agree_on_violation_indices(self):
-        rng = random.Random(17)
-        for name in ("S2", "S53", "S4_124"):
-            S = registry(name)
-            for _ in range(80):
-                q, u = random_inequality(rng)
-                cu, cq, nvars = _compile_pair(S, q, u)
-                total = S.order ** nvars
-                results = {
-                    b: _kernels.first_violation(
-                        S.add, S.mul, cu, cq, nvars, 0, 0, total, backend=b
-                    )
-                    for b in BACKENDS
-                }
-                assert len(set(results.values())) == 1, (q, u, results)
-
     def test_start_stop_windows(self):
         S = registry("S2")
         rng = random.Random(3)
@@ -61,29 +36,6 @@ class TestScan:
             assert before == -1
 
 
-class TestCensusKernel:
-    @needs_both
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_backends_enumerate_identical_tables(self, k):
-        for add in enumerate_semilattices(k):
-            tables = {
-                b: {
-                    bytes(row)
-                    for row in _kernels.census_mul_tables(add, backend=b)
-                    .astype(np.uint8)
-                }
-                for b in BACKENDS
-            }
-            assert tables["numba"] == tables["numpy"]
-
-    @needs_both
-    def test_canonical_pairs_backends_agree(self):
-        for add in enumerate_semilattices(3):
-            muls = _kernels.census_mul_tables(add)
-            assert _kernels.canonical_pairs(add, muls, backend="numba") == \
-                _kernels.canonical_pairs(add, muls, backend="numpy")
-
-
 class TestCanonicalForms:
     def test_pack_unpack_round_trip(self):
         S = registry("S4_359")
@@ -95,66 +47,3 @@ class TestCanonicalForms:
         for add in enumerate_semilattices(4):
             form = _kernels.canonical_table(add)
             assert _kernels.canonical_table(_kernels.unpack_table(form, 4)) == form
-
-
-class TestBackendSelection:
-    def test_active_backend_is_available(self):
-        assert _kernels.active_backend() in _kernels.available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.first_violation(
-                np.zeros((1, 1), np.int64),
-                np.zeros((1, 1), np.int64),
-                (np.zeros(1, np.int64), np.array([0, 1], np.int64)),
-                (np.zeros(1, np.int64), np.array([0, 1], np.int64)),
-                1,
-                0,
-                0,
-                1,
-                backend="fortran",
-            )
-
-    @staticmethod
-    def _child(flag):
-        # a minimal environment keeps the parent's stray settings out of the
-        # child; PYTHONPATH points at the directory holding the package this
-        # process imported, so the child runs the same code whether the
-        # package is installed or imported from src
-        import os
-        import subprocess
-        import sys
-
-        import aisemiring
-
-        root = os.path.dirname(os.path.dirname(aisemiring.__file__))
-        return subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from aisemiring import _kernels; print(_kernels.active_backend())",
-            ],
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": root,
-                 "AISEMIRING_KERNELS": flag},
-            capture_output=True,
-            text=True,
-        )
-
-    def test_env_flag_honored_in_subprocess(self):
-        out = self._child("numpy")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_unknown_value_refused_in_subprocess(self):
-        out = self._child("fortran")
-        assert out.returncode != 0
-        assert "must be 'numba' or 'numpy'" in out.stderr
-
-    def test_env_flag_numba_in_subprocess(self):
-        out = self._child("numba")
-        if "numba" in BACKENDS:
-            assert out.returncode == 0, out.stderr
-            assert out.stdout.strip() == "numba"
-        else:
-            assert out.returncode != 0
-            assert "requested but numba is not importable" in out.stderr

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aisemiring import _kernels
 from aisemiring.algebra import registry
 from aisemiring.satisfaction import (
     GUARD_LIMIT,
@@ -132,20 +131,6 @@ class TestBruteForce:
                 if not got.holds:
                     c = got.counterexample
                     assert (c.assignment, c.left_value, c.right_value) == first
-
-    @pytest.mark.skipif(
-        "numba" not in _kernels.available_backends(),
-        reason="numba backend unavailable: numba does not import",
-    )
-    def test_backends_agree(self, S53):
-        rng = random.Random(99)
-        for _ in range(150):
-            q, u = random_inequality(rng)
-            a = holds_inequality(S53, q, u, backend="numpy")
-            b = holds_inequality(S53, q, u, backend="numba")
-            assert a.holds == b.holds
-            if not a.holds:
-                assert a.counterexample == b.counterexample
 
     def test_threads_do_not_change_the_verdict(self, S4_359):
         # 10 variables on 4 elements crosses the parallel threshold, and the
