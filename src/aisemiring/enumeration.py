@@ -82,8 +82,12 @@ class AdditiveTypeSummary:
 def classify_additive_type(algebras: list[FiniteAiSemiring]) -> list[AdditiveTypeSummary]:
     """Group a census by the isomorphism type of the additive reduct."""
     groups: dict[bytes, int] = {}
+    forms: dict[bytes, bytes] = {}  # raw add table -> its canonical form
     for S in algebras:
-        form = _kernels.canonical_table(S.add)
+        raw = S.add.tobytes()
+        if raw not in forms:
+            forms[raw] = _kernels.canonical_table(S.add)
+        form = forms[raw]
         groups[form] = groups.get(form, 0) + 1
     out = []
     for form in sorted(groups):

@@ -551,7 +551,7 @@ OUT_OF_SCOPE = {
 def run_claims(full: bool = False, threads: int | None = None,
                only: set[str] | None = None) -> RunReport:
     claims: list[ClaimResult] = []
-    for claim_id, (desc, _budget, needs_full, runner) in CLAIM_TABLE.items():
+    for claim_id, (desc, budget, needs_full, runner) in CLAIM_TABLE.items():
         if only is not None and claim_id not in only:
             continue
         if needs_full and not full:
@@ -566,9 +566,12 @@ def run_claims(full: bool = False, threads: int | None = None,
         except Exception as exc:  # claim code raising is a failure, not a crash
             expected, observed = "claim runs to completion", f"{type(exc).__name__}: {exc}"
             status = "fail"
+        seconds = time.perf_counter() - t0
+        if seconds >= budget:
+            status = "fail"
+            observed = f"{observed} (took {seconds:.2f}s, over its {budget:g}s budget)"
         claims.append(
-            ClaimResult(claim_id, desc, status, expected, observed,
-                        time.perf_counter() - t0)
+            ClaimResult(claim_id, desc, status, expected, observed, seconds)
         )
     if only is None:
         for claim_id, desc in OUT_OF_SCOPE.items():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -255,3 +256,19 @@ class TestPaperVerify:
         code, out, _ = run(capsys, "paper-verify")
         assert code == 1
         assert "FAIL" in out and "registry-valid" in out
+
+    def test_budget_overrun_fails(self, monkeypatch):
+        # a claim whose answer is right but which runs past its budget fails,
+        # and the overrun is named; within budget, observed is left as it is
+        def slow(threads):
+            time.sleep(0.01)
+            return "done", "done"
+
+        monkeypatch.setattr(verify, "CLAIM_TABLE", {"slow": ("sleeps", 0.001, False, slow)})
+        (claim,) = verify.run_claims(only={"slow"}).claims
+        assert claim.status == "fail"
+        assert claim.observed.startswith("done (took ")
+        assert claim.observed.endswith("s, over its 0.001s budget)")
+        monkeypatch.setattr(verify, "CLAIM_TABLE", {"slow": ("sleeps", 60.0, False, slow)})
+        (claim,) = verify.run_claims(only={"slow"}).claims
+        assert (claim.status, claim.observed) == ("pass", "done")

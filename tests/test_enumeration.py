@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,7 +64,89 @@ def _relabel(table, sigma):
     return [v for row in out for v in row]
 
 
+def full_recheck_census(add):
+    """Reference backtrack: the census search as it was before the check
+    became incremental. After every cell it re-checks every associativity
+    and distributivity instance whose cells are all set."""
+    k = len(add)
+    add = [[int(v) for v in row] for row in add]
+
+    def compatible(mul):
+        for a, b, c in itertools.product(range(k), repeat=3):
+            ab, bc = mul[a][b], mul[b][c]
+            if ab >= 0 and bc >= 0:
+                left, right = mul[ab][c], mul[a][bc]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+            ac = mul[a][c]
+            if ab >= 0 and ac >= 0:
+                lhs = mul[a][add[b][c]]
+                if lhs >= 0 and lhs != add[ab][ac]:
+                    return False
+            if ac >= 0 and bc >= 0:
+                lhs = mul[add[a][b]][c]
+                if lhs >= 0 and lhs != add[ac][bc]:
+                    return False
+        return True
+
+    mul = [[-1] * k for _ in range(k)]
+    cand = [-1] * (k * k)
+    results = []
+    depth = 0
+    while depth >= 0:
+        i, j = divmod(depth, k)
+        cand[depth] += 1
+        if cand[depth] >= k:
+            cand[depth] = -1
+            mul[i][j] = -1
+            depth -= 1
+            continue
+        mul[i][j] = cand[depth]
+        if not compatible(mul):
+            continue
+        if depth == k * k - 1:
+            results.append([v for row in mul for v in row])
+            continue
+        depth += 1
+    return np.array(results, dtype=np.int64).reshape(-1, k * k)
+
+
+def automorphism_count(*tables):
+    """Number of carrier permutations fixing every one of ``tables``."""
+    tables = [np.asarray(t).tolist() for t in tables]
+    flat = [v for t in tables for row in t for v in row]
+    return sum(
+        [v for t in tables for v in _relabel(t, sigma)] == flat
+        for sigma in itertools.permutations(range(len(tables[0])))
+    )
+
+
 class TestCensus:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_incremental_check_matches_full_recheck(self, k):
+        # same nodes visited, so the same rows in the same order
+        for add in enumerate_semilattices(k):
+            ours = _kernels.census_mul_tables(add)
+            assert ours.dtype == np.int64
+            assert np.array_equal(ours, full_recheck_census(add))
+
+    @pytest.mark.parametrize("k,labelled", [(1, 1), (2, 12), (3, 354), (4, 20020)])
+    def test_orbit_counting(self, k, labelled):
+        # labelled ai-semirings on a k-set, counted two ways: over the
+        # isomorphism classes, and over the raw census tables of each
+        # canonical semilattice, which never pass through canonical forms;
+        # |Aut| divides k! (Lagrange), so the divisions are exact
+        by_class = sum(
+            math.factorial(k) // automorphism_count(S.add, S.mul)
+            for S in enumerate_ai_semirings(k)
+        )
+        by_semilattice = sum(
+            math.factorial(k) // automorphism_count(add)
+            * len(_kernels.census_mul_tables(add))
+            for add in enumerate_semilattices(k)
+        )
+        assert by_class == by_semilattice == labelled
+
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 6), (3, 61)])
     def test_counts(self, k, count):
         assert len(enumerate_ai_semirings(k)) == count
@@ -86,9 +169,10 @@ class TestCensus:
                     naive.append(mul_cells)
                     expected.add(_kernels.canonical_pair(add, mul))
             muls = _kernels.census_mul_tables(add)
-            # product() yields each table once in ascending order, so this
-            # asserts every valid raw table is found exactly once
-            assert sorted(tuple(int(v) for v in row) for row in muls) == naive
+            # product() yields each table once in ascending order, and so does
+            # the row-major ascending search: every valid raw table is found
+            # exactly once, in that order
+            assert [tuple(int(v) for v in row) for row in muls] == naive
             assert set(_kernels.canonical_pairs(add, muls)) == expected
 
     def test_all_outputs_validate_and_are_distinct(self):
