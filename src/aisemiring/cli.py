@@ -389,6 +389,10 @@ def cmd_derive_search(args) -> int:
         result = search_derivation(sigma, claim, bounds)
     except ValueError as exc:
         raise _usage(str(exc)) from None
+    if args.stats:
+        sizes = ", ".join(map(str, result.frontier_sizes)) or "-"
+        print(f"search: explored {result.explored} terms, pruned {result.pruned} "
+              f"rewrites, frontier sizes {sizes}", file=sys.stderr)
     if not result.found:
         print(f"{result.reason} (explored {result.explored} terms)", file=sys.stderr)
         return SEMANTIC_ERROR
@@ -504,6 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-summands", type=int, default=8)
     ps.add_argument("--max-subst-image", type=int, default=3)
     ps.add_argument("--out", help="write the derivation file here")
+    ps.add_argument("--stats", action="store_true",
+                    help="print explored terms, pruned rewrites and frontier "
+                         "sizes to stderr")
     ps.set_defaults(func=cmd_derive_search)
 
     p = sub.add_parser("paper-verify",

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .terms import (
     Substitution,
     Term,
+    TermKey,
     TermSyntaxError,
     Variable,
-    Word,
+    check_variable,
     content,
     parse_term,
     parse_word,
     print_term,
+    term_key,
     wrap,
 )
 
@@ -134,25 +137,37 @@ class SearchBounds:
     max_subst_image: int = 3
 
     def admits(self, t: Term) -> bool:
-        return len(t.words) <= self.max_summands and all(
-            len(w) <= self.max_word_len for w in t.words
-        )
+        return self._admits_words([w.letters for w in t.words])
+
+    def _admits_words(self, words) -> bool:
+        """``admits`` on a term given as a collection of letter tuples."""
+        return len(words) <= self.max_summands and max(map(len, words)) <= self.max_word_len
 
 
 @dataclass
 class SearchResult:
+    """Outcome of :func:`search_derivation`, with its effort counters:
+    ``explored`` distinct terms reached, ``pruned`` rewrites dropped for
+    exceeding the bounds, and ``frontier_sizes[i]`` terms at distance i from
+    the claim's left side that the search expanded."""
+
     derivation: Derivation | None
     reason: str
     explored: int
+    pruned: int = 0
+    frontier_sizes: tuple[int, ...] = ()
 
     @property
     def found(self) -> bool:
         return self.derivation is not None
 
 
-def _match_word(pattern: tuple[Variable, ...], seg: tuple[Variable, ...],
-                binding: dict[Variable, tuple[Variable, ...]],
-                max_img: int) -> list[dict[Variable, tuple[Variable, ...]]]:
+Letters = tuple[Variable, ...]
+Binding = dict[Variable, Letters]
+
+
+def _match_word(pattern: Letters, seg: Letters, binding: Binding,
+                max_img: int) -> list[Binding]:
     """All ways to split seg into per-variable images matching the pattern
     (consistent with and extending the given binding)."""
     if not pattern:
@@ -163,7 +178,7 @@ def _match_word(pattern: tuple[Variable, ...], seg: tuple[Variable, ...],
         if seg[: len(bound)] == bound:
             return _match_word(rest, seg[len(bound):], binding, max_img)
         return []
-    out: list[dict[Variable, tuple[Variable, ...]]] = []
+    out: list[Binding] = []
     limit = min(len(seg) - len(rest), max_img)
     for l in range(1, limit + 1):
         b2 = dict(binding)
@@ -172,25 +187,23 @@ def _match_word(pattern: tuple[Variable, ...], seg: tuple[Variable, ...],
     return out
 
 
-def _match_term(src: Term, t: Term, max_img: int):
-    """All (binding, left, right) with every word of src mapping into t under
-    the shared contexts. Bindings send variables to single words."""
-    words = sorted(src.words, key=lambda w: (-len(w), w.letters))
-    anchor, others = words[0], words[1:]
+def _match_term(src_words: list[Letters], t_words: list[Letters], max_img: int):
+    """All (binding, left, right) with every word of src (longest first)
+    mapping into a word of t under the shared contexts. Bindings send
+    variables to single words."""
+    anchor, others = src_words[0], src_words[1:]
     results = []
     seen = set()
-    for x in t.words:
-        ls = x.letters
+    for ls in t_words:
         for i in range(len(ls)):
             for j in range(i + 1, len(ls) + 1):
                 left, right = ls[:i], ls[j:]
-                for b0 in _match_word(anchor.letters, ls[i:j], {}, max_img):
+                for b0 in _match_word(anchor, ls[i:j], {}, max_img):
                     candidates = [b0]
                     for w in others:
                         extended = []
                         for cand in candidates:
-                            for y in t.words:
-                                ly = y.letters
+                            for ly in t_words:
                                 if len(ly) <= len(left) + len(right):
                                     continue
                                 if ly[: len(left)] != left:
@@ -198,9 +211,7 @@ def _match_term(src: Term, t: Term, max_img: int):
                                 if right and ly[len(ly) - len(right):] != right:
                                     continue
                                 seg = ly[len(left): len(ly) - len(right)]
-                                extended.extend(
-                                    _match_word(w.letters, seg, cand, max_img)
-                                )
+                                extended.extend(_match_word(w, seg, cand, max_img))
                         candidates = _dedupe_bindings(extended)
                         if not candidates:
                             break
@@ -223,16 +234,96 @@ def _dedupe_bindings(bindings):
     return out
 
 
-def _subsets(words: frozenset[Word], cap: int = 3):
+def _subsets(words: frozenset[Letters], cap: int = 3):
     """Subsets of a small word set (all of them if small, else just the two
     extremes); the remainder may keep any part of the rewritten image."""
-    ws = sorted(words, key=Word.sort_key)
+    ws = sorted(words, key=lambda letters: (len(letters), letters))
     if len(ws) <= cap:
         for r in range(len(ws) + 1):
             yield from (frozenset(c) for c in itertools.combinations(ws, r))
     else:
         yield frozenset()
         yield frozenset(ws)
+
+
+def _image(word: Letters, binding: Binding) -> Letters:
+    out: Letters = ()
+    for x in word:
+        out += binding[x]
+    return out
+
+
+def _orientations(sigma: list[Identity]):
+    """Each rule in both orientations as (rule, forward, src words longest
+    first, dst words, variables only dst has), skipping an orientation with
+    more than two such variables: too many to instantiate blindly."""
+    out = []
+    for rule in sigma:
+        for forward in (True, False):
+            src, dst = rule if forward else (rule[1], rule[0])
+            unbound = sorted(content(dst) - content(src))
+            if len(unbound) > 2:
+                continue
+            src_words = sorted((w.letters for w in src.words),
+                               key=lambda letters: (-len(letters), letters))
+            out.append((rule, forward, src_words,
+                        [w.letters for w in dst.words], unbound))
+    return out
+
+
+def _rewrites(rules, t: TermKey, bounds: SearchBounds, image_pool: list[Variable]):
+    """Every one-step rewrite of the term with sort key ``t``, on raw letter
+    tuples, in a fixed order: ``(t_next, witnesses)`` for each rewrite
+    inside the bounds, where ``t_next`` is the next term as a frozenset of
+    letter tuples and ``witnesses`` is ``(rule, forward, left, right, kept,
+    binding)``, and None for each rewrite pruned by the bounds. Rewrites
+    that give back t are skipped.
+
+    ``rules`` comes from :func:`_orientations`; variables of the target
+    side that the match leaves unbound are instantiated from
+    ``image_pool``.
+    """
+    t_words = [letters for _, letters in t]
+    t_set = frozenset(t_words)
+    for rule, forward, src_words, dst_words, unbound in rules:
+        guesses = list(itertools.product(image_pool, repeat=len(unbound)))
+        for binding, left, right in _match_term(src_words, t_words,
+                                                bounds.max_subst_image):
+            base = frozenset(left + _image(w, binding) + right for w in src_words)
+            rest = t_set - base
+            images = []
+            for guess in guesses:
+                full = dict(binding)
+                for v, img in zip(unbound, guess):
+                    full[v] = (img,)
+                images.append(
+                    (full, frozenset(left + _image(w, full) + right for w in dst_words))
+                )
+            for extra in _subsets(base):
+                kept = rest | extra
+                for full, image in images:
+                    t_next = image | kept
+                    if t_next == t_set:
+                        continue
+                    if not bounds._admits_words(t_next):
+                        yield None
+                        continue
+                    yield t_next, (rule, forward, left, right, kept, full)
+
+
+def _step(rule: Identity, forward: bool, left: Letters, right: Letters,
+          kept: frozenset[Letters], binding: Binding) -> DerivationStep:
+    """The DerivationStep for the witnesses of a rewrite."""
+    return DerivationStep(
+        rule=rule,
+        forward=forward,
+        left=left,
+        right=right,
+        remainder=Term._of_letters(kept) if kept else None,
+        subst=Substitution._of(
+            {v: Term._of(((len(img), img),)) for v, img in binding.items()}
+        ),
+    )
 
 
 def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
@@ -242,53 +333,19 @@ def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
 
     Each rule is tried in both orientations; variables of the target side
     that the match leaves unbound are instantiated from ``image_pool``.
-    The list is sorted by term, so the result is deterministic.
+    The list is sorted by term, stably, so the result is deterministic and
+    a term reached in several ways appears once per way.
     """
-    out: list[tuple[Term, DerivationStep]] = []
+    found = []
     pruned = 0
-    for rule in sigma:
-        for forward in (True, False):
-            src, dst = rule if forward else (rule[1], rule[0])
-            unbound = sorted(content(dst) - content(src))
-            if len(unbound) > 2:
-                continue  # too many free variables to instantiate blindly
-            for binding, left, right in _match_term(src, t, bounds.max_subst_image):
-                phi = Substitution(
-                    {v: Term([Word(img)]) for v, img in binding.items()}
-                )
-                base = frozenset(
-                    Word(left + w.letters + right) for w in phi(src).words
-                )
-                rest = frozenset(t.words) - base
-                for extra in _subsets(base):
-                    kept = rest | extra
-                    for images in itertools.product(image_pool, repeat=len(unbound)):
-                        full = dict(binding)
-                        for v, img in zip(unbound, images):
-                            full[v] = (img,)
-                        phi_full = Substitution(
-                            {v: Term([Word(img)]) for v, img in full.items()}
-                        )
-                        t_next = wrap(
-                            phi_full(dst), left, right,
-                            Term(kept) if kept else None,
-                        )
-                        if t_next == t:
-                            continue
-                        if not bounds.admits(t_next):
-                            pruned += 1
-                            continue
-                        step = DerivationStep(
-                            rule=rule,
-                            forward=forward,
-                            left=left,
-                            right=right,
-                            remainder=Term(kept) if kept else None,
-                            subst=phi_full,
-                        )
-                        out.append((t_next, step))
-    out.sort(key=lambda pair: pair[0])
-    return out, pruned
+    for rewrite in _rewrites(_orientations(sigma), t.sort_key(), bounds, image_pool):
+        if rewrite is None:
+            pruned += 1
+        else:
+            t_next, witnesses = rewrite
+            found.append((term_key(t_next), witnesses))
+    found.sort(key=itemgetter(0))
+    return [(Term._of(key), _step(*witnesses)) for key, witnesses in found], pruned
 
 
 def search_derivation(sigma: list[Identity], claim: Identity,
@@ -299,6 +356,11 @@ def search_derivation(sigma: list[Identity], claim: Identity,
     only means nothing was found inside the bounds, never non-derivability.
     Substitution images are searched over single words (at most
     max_subst_image letters each).
+
+    Terms are visited in the order of the sorted :func:`neighbors` lists,
+    each reached by the first rewrite that gives it. The search keeps terms
+    as raw letter tuples and builds Terms and DerivationSteps only for the
+    chain it returns.
     """
     if min(bounds.max_chain, bounds.max_word_len, bounds.max_summands,
            bounds.max_subst_image) < 1:
@@ -306,46 +368,64 @@ def search_derivation(sigma: list[Identity], claim: Identity,
     start, goal = claim
     if start == goal:
         return SearchResult(Derivation(list(sigma), [start], []), "found", 1)
-    image_pool = sorted(content(start) | content(goal)) or ["x"]
-    back: dict[Term, tuple[Term, DerivationStep] | None] = {start: None}
-    frontier = [start]
-    total_pruned = 0
     if not bounds.admits(start):
         return SearchResult(None, "exhausted: claim's left side exceeds bounds", 0)
+    image_pool = sorted(content(start) | content(goal)) or ["x"]
+    rules = _orientations(sigma)
+    goal_set = frozenset(w.letters for w in goal.words)
+    # reached term -> (sort key of the term it was reached from, witnesses)
+    back: dict[frozenset[Letters], tuple[TermKey, tuple] | None] = {
+        frozenset(w.letters for w in start.words): None
+    }
+    frontier = [start.sort_key()]
+    sizes: list[int] = []
+    pruned = 0
     for _ in range(bounds.max_chain - 1):
-        nxt: list[Term] = []
+        sizes.append(len(frontier))
+        nxt: list[TermKey] = []
         for t in frontier:
-            options, pruned = neighbors(sigma, t, bounds, image_pool)
-            total_pruned += pruned
-            for t2, step in options:
-                if t2 in back:
+            first: dict[frozenset[Letters], tuple] = {}
+            for rewrite in _rewrites(rules, t, bounds, image_pool):
+                if rewrite is None:
+                    pruned += 1
                     continue
-                back[t2] = (t, step)
-                if t2 == goal:
-                    chain = [t2]
-                    steps: list[DerivationStep] = []
-                    cur = t2
-                    while back[cur] is not None:
-                        prev, st = back[cur]
-                        chain.append(prev)
-                        steps.append(st)
-                        cur = prev
-                    chain.reverse()
-                    steps.reverse()
-                    return SearchResult(
-                        Derivation(list(sigma), chain, steps), "found", len(back)
-                    )
-                nxt.append(t2)
+                t_next, witnesses = rewrite
+                if t_next not in first and t_next not in back:
+                    first[t_next] = witnesses
+            for key, t_next in sorted((term_key(t_next), t_next) for t_next in first):
+                back[t_next] = (t, first[t_next])
+                if t_next == goal_set:
+                    return SearchResult(_chain_to(sigma, back, key), "found",
+                                        len(back), pruned, tuple(sizes))
+                nxt.append(key)
         if not nxt:
             reason = "exhausted: no unexplored terms within bounds"
-            if total_pruned:
-                reason += f" ({total_pruned} rewrites pruned by bound overflow)"
-            return SearchResult(None, reason, len(back))
+            if pruned:
+                reason += f" ({pruned} rewrites pruned by bound overflow)"
+            return SearchResult(None, reason, len(back), pruned, tuple(sizes))
         nxt.sort()
         frontier = nxt
     return SearchResult(
-        None, f"exhausted: chain bound {bounds.max_chain} reached", len(back)
+        None, f"exhausted: chain bound {bounds.max_chain} reached", len(back),
+        pruned, tuple(sizes),
     )
+
+
+def _chain_to(sigma: list[Identity], back, key: TermKey) -> Derivation:
+    """The derivation from the search's start to the term with sort key
+    ``key``, read off the search's back pointers."""
+    chain: list[Term] = []
+    steps: list[DerivationStep] = []
+    while True:
+        chain.append(Term._of(key))
+        entry = back[frozenset(letters for _, letters in key)]
+        if entry is None:
+            break
+        key, witnesses = entry
+        steps.append(_step(*witnesses))
+    chain.reverse()
+    steps.reverse()
+    return Derivation(list(sigma), chain, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +544,10 @@ def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep
                 )
             var, image = item.split(":=", 1)
             var = var.strip()
+            if var in mapping:
+                raise DerivationSyntaxError(f"duplicate binding for {var}", lineno)
             try:
-                mapping[var] = parse_term(image)
+                mapping[check_variable(var)] = parse_term(image)
             except TermSyntaxError as exc:
                 raise DerivationSyntaxError(str(exc), lineno) from None
     return DerivationStep(

@@ -7,6 +7,10 @@ pairwise, so duplicate summands always collapse.
 
 Variable names are a single letter followed by optional digits ("x", "x1",
 "y12"), which makes juxtaposed words such as ``x1x2`` tokenize uniquely.
+Names are checked at the boundary only: the parsers and the public ``Word``,
+``Term`` and ``Substitution`` constructors. Library code that already holds
+valid, canonical letter tuples builds objects through the private ``_of``
+constructors, which skip the check.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class TermSyntaxError(ValueError):
     """Input text does not match the term grammar."""
 
 
-def _check_variable(name: str) -> str:
+def check_variable(name: str) -> str:
+    """Return ``name`` if it is a legal variable name, else raise."""
     if _VARIABLE_RE.fullmatch(name) is None:
         raise TermSyntaxError(f"illegal variable name {name!r}")
     return name
@@ -40,8 +45,15 @@ class Word:
         if not letters:
             raise ValueError("a word needs at least one letter")
         for x in letters:
-            _check_variable(x)
+            check_variable(x)
         self.letters = letters
+
+    @classmethod
+    def _of(cls, letters: tuple[Variable, ...]) -> "Word":
+        """Trusted constructor: a nonempty tuple of valid names."""
+        w = object.__new__(cls)
+        w.letters = letters
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -50,7 +62,7 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -71,21 +83,47 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+TermKey = tuple[tuple[int, tuple[Variable, ...]], ...]
+
+
 class Term:
     """Finite nonempty set of words, stored in a canonical order.
 
     Summands are kept sorted length-then-lexicographically with duplicates
     removed, so structural equality coincides with set equality and printing
-    is deterministic.
+    is deterministic. Order, equality and hashing read the term's sort key,
+    one ``(len, letters)`` pair per summand, computed once.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ("words", "_key")
 
     def __init__(self, words: Iterable[Word]):
         ws = tuple(sorted(set(words), key=Word.sort_key))
         if not ws:
             raise ValueError("a term needs at least one summand")
         self.words = ws
+        self._key = None
+
+    @classmethod
+    def _of(cls, key: TermKey) -> "Term":
+        """Trusted constructor from a sort key: nonempty, sorted, no
+        duplicates, valid names."""
+        t = object.__new__(cls)
+        t.words = tuple(Word._of(letters) for _, letters in key)
+        t._key = key
+        return t
+
+    @classmethod
+    def _of_letters(cls, words: Iterable[tuple[Variable, ...]]) -> "Term":
+        """Trusted constructor from a nonempty collection of letter tuples
+        of valid names, in any order and possibly repeated."""
+        return cls._of(term_key(words))
+
+    def sort_key(self) -> TermKey:
+        key = self._key
+        if key is None:
+            key = self._key = tuple((len(w.letters), w.letters) for w in self.words)
+        return key
 
     @staticmethod
     def of(*words: Word | str) -> "Term":
@@ -104,24 +142,29 @@ class Term:
         return Term(self.words + other.words)
 
     def __mul__(self, other: "Term") -> "Term":
-        return Term(a * b for a in self.words for b in other.words)
+        return Term._of_letters(
+            a.letters + b.letters for a in self.words for b in other.words
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Term) and self.words == other.words
+        return isinstance(other, Term) and self.sort_key() == other.sort_key()
 
     def __hash__(self) -> int:
-        return hash(self.words)
+        return hash(self.sort_key())
 
     def __lt__(self, other: "Term") -> bool:
-        return tuple(w.sort_key() for w in self.words) < tuple(
-            w.sort_key() for w in other.words
-        )
+        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return print_term(self)
 
     def __repr__(self) -> str:
         return f"Term({print_term(self)!r})"
+
+
+def term_key(words: Iterable[tuple[Variable, ...]]) -> TermKey:
+    """Sort key of the term whose summands are the given letter tuples."""
+    return tuple(sorted({(len(letters), letters) for letters in words}))
 
 
 def add(s: Term, t: Term) -> Term:
@@ -149,7 +192,7 @@ def parse_word(text: str) -> Word:
             pos = m.end()
     if not letters:
         raise TermSyntaxError(f"empty word in {text!r}")
-    return Word(letters)
+    return Word._of(tuple(letters))
 
 
 def parse_term(text: str) -> Term:
@@ -199,7 +242,7 @@ def factors2(item: Word | Term) -> frozenset[Word]:
     if isinstance(item, Term):
         return frozenset(f for w in item.words for f in factors2(w))
     ls = item.letters
-    return frozenset(Word(ls[i : i + 2]) for i in range(len(ls) - 1))
+    return frozenset(Word._of(ls[i : i + 2]) for i in range(len(ls) - 1))
 
 
 def subwords2(item: Word | Term) -> frozenset[Word]:
@@ -208,7 +251,7 @@ def subwords2(item: Word | Term) -> frozenset[Word]:
         return frozenset(f for w in item.words for f in subwords2(w))
     ls = item.letters
     return frozenset(
-        Word((ls[i], ls[j]))
+        Word._of((ls[i], ls[j]))
         for i in range(len(ls))
         for j in range(i + 1, len(ls))
     )
@@ -285,11 +328,19 @@ class Substitution:
     def __init__(self, mapping: Mapping[Variable, Term] | None = None):
         self.mapping = dict(mapping or {})
         for x in self.mapping:
-            _check_variable(x)
+            check_variable(x)
+
+    @classmethod
+    def _of(cls, mapping: dict[Variable, Term]) -> "Substitution":
+        """Trusted constructor: takes ownership of a dict keyed by valid
+        names."""
+        phi = object.__new__(cls)
+        phi.mapping = mapping
+        return phi
 
     def image_of(self, x: Variable) -> Term:
         img = self.mapping.get(x)
-        return img if img is not None else Term([Word((x,))])
+        return img if img is not None else Term._of(((1, (x,)),))
 
     def __call__(self, item: Word | Term) -> Term:
         if isinstance(item, Word):
@@ -318,7 +369,7 @@ def apply(phi: Substitution, item: Word | Term) -> Term:
 
 def commutative_normalize(t: Term) -> Term:
     """Sort the letters of each word; summands made equal collapse."""
-    return Term(Word(sorted(w.letters)) for w in t.words)
+    return Term._of_letters(tuple(sorted(w.letters)) for w in t.words)
 
 
 @dataclass(frozen=True)
@@ -333,7 +384,9 @@ class SubtermWitness:
 def wrap(t: Term, left: tuple[Variable, ...] = (), right: tuple[Variable, ...] = (),
          rest: Term | None = None) -> Term:
     """Build ``left . t . right + rest`` with possibly-empty word contexts."""
-    wrapped = Term(Word(left + w.letters + right) for w in t.words)
+    for x in left + right:
+        check_variable(x)
+    wrapped = Term._of_letters(left + w.letters + right for w in t.words)
     return wrapped if rest is None else wrapped + rest
 
 
@@ -356,7 +409,7 @@ def is_subterm(u: Term, v: Term) -> SubtermWitness | None:
             if (left, right) in tried:
                 continue
             tried.add((left, right))
-            image = {Word(left + w.letters + right) for w in u.words}
+            image = {Word._of(left + w.letters + right) for w in u.words}
             if image <= v_words:
                 leftover = v_words - image
                 return SubtermWitness(

@@ -217,6 +217,40 @@ class TestDerive:
         )
         assert code == 1 and "exhausted" in err
 
+    @pytest.mark.parametrize("sub,message", [
+        ("sub 1x := y", "line 6: illegal variable name '1x'"),
+        ("sub x := y, x := x", "line 6: duplicate binding for x"),
+    ])
+    def test_bad_substitution_is_a_syntax_error(self, tmp_path, capsys, sub, message):
+        path = tmp_path / "d.txt"
+        path.write_text(
+            f"sigma:\nxy = yx\nchain:\nxy\nyx\nstep: rule 1 forward; {sub}\n"
+        )
+        code, _, err = run(capsys, "derive", "check", str(path))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_search_stats_go_to_stderr(self, capsys):
+        argv = ["derive", "search", "--rule", "xy = yx", "--claim", "xyz = zyx"]
+        code, plain_out, plain_err = run(capsys, *argv)
+        assert code == 0 and plain_err == ""
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == 0
+        assert out == plain_out
+        assert err == ("search: explored 28 terms, pruned 0 rewrites, "
+                       "frontier sizes 1, 8\n")
+
+    def test_search_stats_on_exhaustion(self, capsys):
+        code, _, err = run(
+            capsys, "derive", "search", "--rule", "x = xx", "--claim", "a = b",
+            "--max-word-len", "3", "--max-summands", "3", "--stats",
+        )
+        assert code == 1
+        assert err.splitlines()[0] == (
+            "search: explored 7 terms, pruned 56 rewrites, frontier sizes 1, 2, 4"
+        )
+
     def test_search_without_rules(self, capsys):
         code, _, err = run(capsys, "derive", "search", "--claim", "a = b")
         assert code == 2

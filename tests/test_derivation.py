@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,13 +9,16 @@ from aisemiring.derivation import (
     DerivationStep,
     DerivationSyntaxError,
     SearchBounds,
+    SearchResult,
     check_derivation,
     check_step,
     format_derivation,
+    neighbors,
     parse_derivation,
     search_derivation,
 )
-from aisemiring.terms import Substitution, parse_term, parse_word
+from aisemiring.terms import Substitution, Term, Word, content, parse_term, parse_word, wrap
+from aisemiring.verify import _random_reachable_claim, _random_sigma
 
 t = parse_term
 
@@ -201,6 +205,10 @@ step: rule 1 forward; left -; right -; rest z; sub x := x, y := y
             (lambda s: s.replace("step: rule 1 forward; ", "step: "), "rule"),
             (lambda s: s + "step: rule 1 forward\n", "step lines"),
             (lambda s: s.replace("xy = yx", "xy yx"), "'='"),
+            (lambda s: s.replace("sub x := x, y := y", "sub 1x := y"),
+             "line 7: illegal variable name '1x'"),
+            (lambda s: s.replace("sub x := x, y := y", "sub x := y, x := x"),
+             "line 7: duplicate binding for x"),
         ],
     )
     def test_syntax_errors(self, mutation, match):
@@ -232,3 +240,250 @@ class TestSoundnessSample:
                 if all(holds_identity(S, a, b).holds for a, b in sigma):
                     assert holds_identity(S, claim[0], claim[1]).holds
         assert found >= 30
+
+
+# ---------------------------------------------------------------------------
+# reference: the object-level rewrite step and BFS the raw-tuple search
+# replaced, kept here to check that the search still gives the same answers
+
+
+def reference_match_word(pattern, seg, binding, max_img):
+    if not pattern:
+        return [dict(binding)] if not seg else []
+    v, rest = pattern[0], pattern[1:]
+    bound = binding.get(v)
+    if bound is not None:
+        if seg[: len(bound)] == bound:
+            return reference_match_word(rest, seg[len(bound):], binding, max_img)
+        return []
+    out = []
+    limit = min(len(seg) - len(rest), max_img)
+    for l in range(1, limit + 1):
+        b2 = dict(binding)
+        b2[v] = seg[:l]
+        out.extend(reference_match_word(rest, seg[l:], b2, max_img))
+    return out
+
+
+def reference_match_term(src, t, max_img):
+    words = sorted(src.words, key=lambda w: (-len(w), w.letters))
+    anchor, others = words[0], words[1:]
+    results = []
+    seen = set()
+    for x in t.words:
+        ls = x.letters
+        for i in range(len(ls)):
+            for j in range(i + 1, len(ls) + 1):
+                left, right = ls[:i], ls[j:]
+                for b0 in reference_match_word(anchor.letters, ls[i:j], {}, max_img):
+                    candidates = [b0]
+                    for w in others:
+                        extended = []
+                        for cand in candidates:
+                            for y in t.words:
+                                ly = y.letters
+                                if len(ly) <= len(left) + len(right):
+                                    continue
+                                if ly[: len(left)] != left:
+                                    continue
+                                if right and ly[len(ly) - len(right):] != right:
+                                    continue
+                                seg = ly[len(left): len(ly) - len(right)]
+                                extended.extend(
+                                    reference_match_word(w.letters, seg, cand, max_img)
+                                )
+                        deduped, keys = [], set()
+                        for b in extended:
+                            key = tuple(sorted(b.items()))
+                            if key not in keys:
+                                keys.add(key)
+                                deduped.append(b)
+                        candidates = deduped
+                        if not candidates:
+                            break
+                    for cand in candidates:
+                        key = (tuple(sorted(cand.items())), left, right)
+                        if key not in seen:
+                            seen.add(key)
+                            results.append((cand, left, right))
+    return results
+
+
+def reference_subsets(words, cap=3):
+    ws = sorted(words, key=Word.sort_key)
+    if len(ws) <= cap:
+        for r in range(len(ws) + 1):
+            yield from (frozenset(c) for c in itertools.combinations(ws, r))
+    else:
+        yield frozenset()
+        yield frozenset(ws)
+
+
+def reference_neighbors(sigma, t, bounds, image_pool):
+    """Every candidate built as Term, Substitution and DerivationStep, then
+    one stable sort by term."""
+    out = []
+    pruned = 0
+    for rule in sigma:
+        for forward in (True, False):
+            src, dst = rule if forward else (rule[1], rule[0])
+            unbound = sorted(content(dst) - content(src))
+            if len(unbound) > 2:
+                continue
+            for binding, left, right in reference_match_term(src, t, bounds.max_subst_image):
+                phi = Substitution({v: Term([Word(img)]) for v, img in binding.items()})
+                base = frozenset(Word(left + w.letters + right) for w in phi(src).words)
+                rest = frozenset(t.words) - base
+                for extra in reference_subsets(base):
+                    kept = rest | extra
+                    for images in itertools.product(image_pool, repeat=len(unbound)):
+                        full = dict(binding)
+                        for v, img in zip(unbound, images):
+                            full[v] = (img,)
+                        phi_full = Substitution(
+                            {v: Term([Word(img)]) for v, img in full.items()}
+                        )
+                        t_next = wrap(phi_full(dst), left, right,
+                                      Term(kept) if kept else None)
+                        if t_next == t:
+                            continue
+                        if not bounds.admits(t_next):
+                            pruned += 1
+                            continue
+                        step = DerivationStep(
+                            rule=rule, forward=forward, left=left, right=right,
+                            remainder=Term(kept) if kept else None, subst=phi_full,
+                        )
+                        out.append((t_next, step))
+    out.sort(key=lambda pair: pair[0])
+    return out, pruned
+
+
+def reference_search(sigma, claim, bounds):
+    """Term-keyed BFS over reference_neighbors, counting pruned rewrites and
+    the sizes of the frontiers it expands."""
+    start, goal = claim
+    if start == goal:
+        return SearchResult(Derivation(list(sigma), [start], []), "found", 1)
+    image_pool = sorted(content(start) | content(goal)) or ["x"]
+    back = {start: None}
+    frontier = [start]
+    total_pruned = 0
+    sizes = []
+    if not bounds.admits(start):
+        return SearchResult(None, "exhausted: claim's left side exceeds bounds", 0)
+    for _ in range(bounds.max_chain - 1):
+        sizes.append(len(frontier))
+        nxt = []
+        for t in frontier:
+            options, pruned = reference_neighbors(sigma, t, bounds, image_pool)
+            total_pruned += pruned
+            for t2, step in options:
+                if t2 in back:
+                    continue
+                back[t2] = (t, step)
+                if t2 == goal:
+                    chain, steps, cur = [t2], [], t2
+                    while back[cur] is not None:
+                        prev, st = back[cur]
+                        chain.append(prev)
+                        steps.append(st)
+                        cur = prev
+                    return SearchResult(
+                        Derivation(list(sigma), chain[::-1], steps[::-1]),
+                        "found", len(back), total_pruned, tuple(sizes),
+                    )
+                nxt.append(t2)
+        if not nxt:
+            reason = "exhausted: no unexplored terms within bounds"
+            if total_pruned:
+                reason += f" ({total_pruned} rewrites pruned by bound overflow)"
+            return SearchResult(None, reason, len(back), total_pruned, tuple(sizes))
+        nxt.sort()
+        frontier = nxt
+    return SearchResult(None, f"exhausted: chain bound {bounds.max_chain} reached",
+                        len(back), total_pruned, tuple(sizes))
+
+
+SOUNDNESS_BOUNDS = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
+                                max_subst_image=3)
+
+
+def assert_same_search(sigma, claim, bounds):
+    ours, ref = search_derivation(sigma, claim, bounds), reference_search(sigma, claim, bounds)
+    assert ours.reason == ref.reason
+    assert ours.explored == ref.explored
+    assert ours.pruned == ref.pruned
+    assert ours.frontier_sizes == ref.frontier_sizes
+    assert ours.found == ref.found
+    if ref.found:
+        assert format_derivation(ours.derivation) == format_derivation(ref.derivation)
+        assert ours.derivation == ref.derivation
+    return ours
+
+
+class TestAgainstObjectSearch:
+    def test_fuzzed_corpus(self):
+        rng = random.Random(2718)
+        reasons = set()
+        for _ in range(200):
+            sigma = _random_sigma(rng)
+            claim = _random_reachable_claim(rng, sigma, SOUNDNESS_BOUNDS)
+            pool = sorted(content(claim[0]) | content(claim[1])) or ["x"]
+            for term in claim:
+                assert (neighbors(sigma, term, SOUNDNESS_BOUNDS, pool)
+                        == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS, pool))
+            reasons.add(assert_same_search(sigma, claim, SOUNDNESS_BOUNDS).reason)
+        assert "found" in reasons
+
+    def test_duplicates_kept_by_neighbors(self):
+        # x = x + x rewrites ab + abab to the same term in several ways;
+        # neighbors lists each way, in the order it was generated
+        sigma = [identity("x = xx"), identity("x + xy = x")]
+        term = t("ab + abab")
+        ours = neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b"])
+        assert ours == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b"])
+        terms = [t2 for t2, _ in ours[0]]
+        assert len(terms) > len(set(terms))
+
+    def test_chain_bound_reached(self):
+        result = assert_same_search(
+            [identity("xy = yx")], (t("abc + d"), t("e")), SOUNDNESS_BOUNDS
+        )
+        assert result.reason == "exhausted: chain bound 4 reached"
+        assert len(result.frontier_sizes) == 3
+
+    def test_pruned_by_bound_overflow(self):
+        result = assert_same_search(
+            [identity("x = xx")], (t("a"), t("b")),
+            SearchBounds(max_chain=6, max_word_len=3, max_summands=3),
+        )
+        assert result.reason.startswith("exhausted: no unexplored terms within bounds (")
+        assert f"({result.pruned} rewrites pruned by bound overflow)" in result.reason
+        assert result.pruned > 0
+
+
+class TestSearchCounters:
+    def test_found_counts(self):
+        result = search_derivation([identity("xy = yx")], (t("xyz"), t("zyx")))
+        assert result.found
+        assert result.frontier_sizes == (1, 8)
+        assert result.explored == 28
+        assert result.pruned == 0
+
+    def test_trivial_and_oversized_claims_expand_nothing(self):
+        same = search_derivation([], (t("x + y"), t("y + x")))
+        assert (same.explored, same.pruned, same.frontier_sizes) == (1, 0, ())
+        big = t("abcdefgh")
+        over = search_derivation([identity("xy = yx")], (big, big + t("x")),
+                                 SearchBounds(max_word_len=3))
+        assert (over.explored, over.pruned, over.frontier_sizes) == (0, 0, ())
+
+    def test_exhausted_search_expands_every_term_it_reaches(self):
+        result = search_derivation([identity("x = xx")], (t("a"), t("b")),
+                                   SearchBounds(max_chain=6, max_word_len=3,
+                                                max_summands=3))
+        assert result.reason.startswith("exhausted: no unexplored terms")
+        assert result.frontier_sizes == (1, 2, 4)
+        assert result.explored == sum(result.frontier_sizes)
+        assert result.pruned == 56

@@ -78,6 +78,54 @@ class TestParsing:
         assert parse_term(print_term(term)) == term
 
 
+class TestBoundary:
+    """Names are checked where outside input enters: the public
+    constructors and the parsers."""
+
+    def test_word_rejects_bad_name(self):
+        with pytest.raises(TermSyntaxError):
+            Word(("1x",))
+
+    def test_substitution_rejects_bad_name(self):
+        with pytest.raises(TermSyntaxError):
+            Substitution({"x_": t("y")})
+
+    def test_wrap_rejects_bad_context(self):
+        with pytest.raises(TermSyntaxError):
+            wrap(t("x"), ("1x",))
+        with pytest.raises(TermSyntaxError):
+            wrap(t("x"), (), ("x_",))
+
+    def test_empty_word_and_term(self):
+        with pytest.raises(ValueError):
+            Word(())
+        with pytest.raises(ValueError):
+            Term([])
+
+    def test_term_keeps_the_callers_words(self):
+        a, b = w("yx"), w("z")
+        assert all(x is y for x, y in zip(Term([a, b]).words, (b, a)))
+
+
+def summand_keys(term):
+    return tuple(word.sort_key() for word in term.words)
+
+
+class TestOrdering:
+    @given(terms, terms)
+    def test_order_equality_and_hash_follow_summand_keys(self, a, b):
+        assert (a < b) == (summand_keys(a) < summand_keys(b))
+        assert (a == b) == (summand_keys(a) == summand_keys(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a.sort_key() == summand_keys(a)
+
+    @given(st.lists(terms, max_size=8))
+    def test_sorted_matches_summand_keys(self, ts):
+        assert sorted(ts) == sorted(ts, key=summand_keys)
+        assert [summand_keys(x) for x in sorted(ts)] == sorted(map(summand_keys, ts))
+
+
 class TestOperations:
     def test_add_is_idempotent_union(self):
         assert add(t("x"), t("x")) == t("x")
