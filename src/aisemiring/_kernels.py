@@ -3,26 +3,38 @@ census and canonical forms.
 
 The workbench spends almost all of its runtime in two inner loops: scanning
 every variable assignment of a finite algebra (satisfaction checks) and
-backtracking over multiplication tables (the census). The scan evaluates
-both sides of a check on numpy arrays, one chunk of assignments at a time.
-The census is a pure-Python backtrack that, after each new cell, checks
-only the associativity and distributivity instances reading that cell,
-O(k^2) work instead of the O(k^3) of a full re-check. Canonical forms take
-a running lexicographic minimum over carrier permutations with numpy.
+backtracking over multiplication tables (the census). The census is a
+pure-Python backtrack that, after each new cell, checks only the
+associativity and distributivity instances reading that cell, O(k^2) work
+instead of the O(k^3) of a full re-check. Canonical forms take a running
+lexicographic minimum over carrier permutations with numpy.
+
+The scan is a broadcast over a k x ... x k grid with one axis per variable.
+Each word is evaluated once, over the axes of its own variables only, as a
+small array of k^|vars(word)| cells gathered from the ``mul`` table; numpy
+broadcasting then folds the words of a term together through the ``add``
+table. The grid is cut into slabs: the leading variables are fixed to the
+digits of a slab number as Python ints, and the broadcast runs over the
+trailing axes, at most SLAB_CELLS cells, so memory stays bounded whatever
+the number of variables. In C order the flat index of a grid cell puts the
+first variable in the most significant digit, which is the assignment index
+below, so the first failing cell is the lexicographically least
+counterexample.
 
 Table/assignment conventions:
   * assignment index i enumerates variables in a fixed order, first
     variable in the most significant base-k digit, so ascending index is
     ascending lexicographic order of assignment tuples;
-  * a compiled term is (letters, offsets): letters is the concatenation of
-    all summand words as variable positions, offsets[w]..offsets[w+1]
-    delimits word w;
+  * a compiled term is a tuple of words, each word a tuple of variable
+    positions (ints), multiplied left to right; the words are summed left
+    to right;
   * mode 0 checks the inequality "b lies below a" (add[va, vb] == va),
     mode 1 checks the identity va == vb.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -38,12 +50,30 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 # assignment scans
 
-def _eval_term(add, mul, letters, offs, digits):
+#: most cells one slab of the scan broadcasts over
+SLAB_CELLS = 1 << 15
+
+
+@functools.cache
+def _axes(k: int, r: int) -> tuple[np.ndarray, ...]:
+    """Index grids of r axes of length k: grid j is arange(k) along axis j
+    and has length 1 along every other axis. Shared, so read-only."""
+    grids = []
+    for j in range(r):
+        shape = [1] * r
+        shape[j] = k
+        grid = np.arange(k, dtype=np.intp).reshape(shape)
+        grid.flags.writeable = False
+        grids.append(grid)
+    return tuple(grids)
+
+
+def _eval_term(add, mul, term, operands):
     acc = None
-    for w in range(len(offs) - 1):
-        val = digits[:, letters[offs[w]]]
-        for p in range(offs[w] + 1, offs[w + 1]):
-            val = mul[val, digits[:, letters[p]]]
+    for word in term:
+        val = operands[word[0]]
+        for v in word[1:]:
+            val = mul[val, operands[v]]
         acc = val if acc is None else add[acc, val]
     return acc
 
@@ -51,20 +81,36 @@ def _eval_term(add, mul, letters, offs, digits):
 def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop) -> int:
     """Index of the first assignment in [start, stop) violating the check,
     or -1 when none does."""
-    la, oa = term_a
-    lb, ob = term_b
+    if start >= stop:
+        return -1
     k = add.shape[0]
-    strides = k ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    chunk = 1 << 15
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // strides[None, :]) % k
-        va = _eval_term(add, mul, la, oa, digits)
-        vb = _eval_term(add, mul, lb, ob, digits)
+    r = nvars
+    while k ** r > SLAB_CELLS:
+        r -= 1
+    lead = nvars - r
+    cells = k ** r
+    axes = _axes(k, r)
+    for slab in range(start // cells, (stop - 1) // cells + 1):
+        digits = []
+        prefix = slab
+        for _ in range(lead):
+            prefix, d = divmod(prefix, k)
+            digits.append(d)
+        operands = digits[::-1]
+        operands.extend(axes)
+        va = _eval_term(add, mul, term_a, operands)
+        vb = _eval_term(add, mul, term_b, operands)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
-        if not ok.all():
-            return int(lo + int(np.argmin(ok)))
+        if ok.all():
+            continue
+        # the check fails somewhere in this slab; look for the first failing
+        # cell inside the window only
+        base = slab * cells
+        lo = max(start - base, 0)
+        flat = np.broadcast_to(ok, (k,) * r).ravel()[lo:stop - base]
+        first = int(np.argmin(flat))
+        if not flat[first]:
+            return base + lo + first
     return -1
 
 

@@ -64,6 +64,17 @@ def _semantic(message: str) -> CliError:
     return CliError(message, SEMANTIC_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_algebra(spec: str) -> FiniteAiSemiring:
     if spec in REGISTRY_NAMES:
         return registry(spec)
@@ -415,7 +426,7 @@ def cmd_paper_verify(args) -> int:
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count(),
         help="worker count for brute-force assignment scans (default: all CPUs)",
     )
@@ -452,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="test the cycle-family inequality")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=_positive_int, default=3)
     p.add_argument("--force", action="store_true")
     p.add_argument("--json", action="store_true")
     _add_threads(p)
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--classify", action="store_true",
                    help="summarize counts per additive type")
-    p.add_argument("--screen-family", type=int, metavar="N",
+    p.add_argument("--screen-family", type=_positive_int, metavar="N",
                    help="keep only classes satisfying the family inequality "
                         "for all n <= N")
     p.add_argument("--out", help="write records to a file instead of stdout")

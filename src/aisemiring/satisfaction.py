@@ -13,8 +13,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .algebra import FiniteAiSemiring
 from .terms import (
@@ -73,13 +71,9 @@ def evaluate(item: Word | Term, S: FiniteAiSemiring, a: Assignment) -> int:
     return acc
 
 
-def _compiled(t: Term, var_index: dict[Variable, int]):
-    letters: list[int] = []
-    offsets = [0]
-    for w in t.words:
-        letters.extend(var_index[x] for x in w.letters)
-        offsets.append(len(letters))
-    return (np.array(letters, dtype=np.int64), np.array(offsets, dtype=np.int64))
+def _compiled(t: Term, var_index: dict[Variable, int]) -> tuple[tuple[int, ...], ...]:
+    """The words of t as tuples of variable positions (see _kernels)."""
+    return tuple(tuple(var_index[x] for x in w.letters) for w in t.words)
 
 
 def _assignment_from_index(idx: int, variables: list[Variable], k: int) -> Assignment:

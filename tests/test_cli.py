@@ -15,6 +15,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
 FAMILY_U1 = "x1x2 + x2x3 + x3x1 + y1y2 + y2y1 + y1"
 
 
@@ -71,6 +78,14 @@ class TestHolds:
         code, _, err = run(capsys, "holds", "S2")
         assert code == 2 and "exactly one" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_non_positive_threads_is_a_usage_error(self, capsys, threads):
+        code, err = usage_error(
+            capsys, "holds", "S2", "--ineq", "x <= y", "--threads", threads
+        )
+        assert code == 2
+        assert "usage:" in err and "--threads" in err
+
     def test_unknown_algebra(self, capsys):
         code, _, err = run(capsys, "holds", "NOPE", "--ineq", "x <= x")
         assert code == 2 and "registry" in err
@@ -112,6 +127,12 @@ class TestFamily:
     def test_guard_is_semantic_error(self, capsys):
         code, _, err = run(capsys, "family", "--algebra", "S2", "--nmax", "9")
         assert code == 1 and "force" in err
+
+    @pytest.mark.parametrize("nmax", ["0", "-2", "two"])
+    def test_non_positive_nmax_is_a_usage_error(self, capsys, nmax):
+        code, err = usage_error(capsys, "family", "--algebra", "S2", "--nmax", nmax)
+        assert code == 2
+        assert "usage:" in err and "--nmax" in err and "Traceback" not in err
 
 
 class TestStructureCommands:
@@ -185,6 +206,12 @@ class TestEnumerate:
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "enumerate", "--order", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_screen_family_is_a_usage_error(self, capsys, n):
+        code, err = usage_error(capsys, "enumerate", "--order", "2", "--screen-family", n)
+        assert code == 2
+        assert "usage:" in err and "--screen-family" in err
 
 
 class TestDerive:

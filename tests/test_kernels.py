@@ -1,39 +1,149 @@
 import random
 
+import numpy as np
+import pytest
+
 from aisemiring import _kernels
 from aisemiring.algebra import registry
-from aisemiring.enumeration import enumerate_semilattices
+from aisemiring.enumeration import enumerate_ai_semirings, enumerate_semilattices
 from aisemiring.satisfaction import _compiled
-from aisemiring.terms import content
+from aisemiring.terms import Term, Word, content
 from aisemiring.verify import random_inequality
 
 
 def _compile_pair(S, q, u):
     variables = sorted(content(u) | content(q))
     vi = {x: i for i, x in enumerate(variables)}
-    from aisemiring.terms import Term
-
     return _compiled(u, vi), _compiled(Term([q]), vi), len(variables)
+
+
+def digits_first_violation(add, mul, term_a, term_b, nvars, mode, start, stop):
+    """Reference scan: the kernel as it was before the broadcast scan. Each
+    chunk of 32,768 assignment indices is decoded into a matrix of base-k
+    digits, first variable most significant, and every letter of every word
+    is gathered over all rows."""
+    k = add.shape[0]
+    strides = k ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+
+    def evaluate(term, digits):
+        acc = None
+        for word in term:
+            val = digits[:, word[0]]
+            for v in word[1:]:
+                val = mul[val, digits[:, v]]
+            acc = val if acc is None else add[acc, val]
+        return acc
+
+    chunk = 1 << 15
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = (idx[:, None] // strides[None, :]) % k
+        va = evaluate(term_a, digits)
+        vb = evaluate(term_b, digits)
+        ok = (va == vb) if mode == 1 else (add[va, vb] == va)
+        if not ok.all():
+            return int(lo + int(np.argmin(ok)))
+    return -1
+
+
+#: an order-2 ai-semiring for the scan tests (the registry has none): the
+#: product is 0 on (0, 0) and 1 everywhere else
+ORDER2 = next(
+    S for S in enumerate_ai_semirings(2) if S.mul.tolist() == [[0, 1], [1, 1]]
+)
+
+
+def _random_check(rng, nvars):
+    """A random inequality (q, u) over nvars variables, every variable in u,
+    and a random identity (u, v) over the same variables."""
+    names = [f"v{i}" for i in range(nvars)]
+    order = names[:]
+    rng.shuffle(order)
+    words = []
+    while order:
+        size = rng.randint(1, 3)
+        words.append(Word(tuple(order[:size])))
+        order = order[size:]
+    words += [
+        Word(tuple(rng.choice(names) for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(0, 3))
+    ]
+    rng.shuffle(words)
+    u = Term(words)
+    q = Word(tuple(rng.choice(names) for _ in range(rng.randint(1, 3))))
+    # u = u + q is the identity form of q <= u; a word of u always lies below
+    v = Term(list(u.words) + [q if rng.random() < 0.5 else rng.choice(u.words)])
+    return q, u, v
 
 
 class TestScan:
     def test_start_stop_windows(self):
         S = registry("S2")
         rng = random.Random(3)
-        q, u = random_inequality(rng)
-        cu, cq, nvars = _compile_pair(S, q, u)
-        total = S.order ** nvars
-        full = _kernels.first_violation(S.add, S.mul, cu, cq, nvars, 0, 0, total)
-        if full >= 0:
-            # scanning only beyond the first violation finds the next one or none
-            rest = _kernels.first_violation(
-                S.add, S.mul, cu, cq, nvars, 0, full + 1, total
-            )
-            assert rest == -1 or rest > full
-            before = _kernels.first_violation(
-                S.add, S.mul, cu, cq, nvars, 0, 0, full
-            )
-            assert before == -1
+        # draw until an inequality fails, so that it has a first violation
+        for _ in range(100):
+            q, u = random_inequality(rng)
+            cu, cq, nvars = _compile_pair(S, q, u)
+            total = S.order ** nvars
+            full = _kernels.first_violation(S.add, S.mul, cu, cq, nvars, 0, 0, total)
+            if full >= 0:
+                break
+        assert full >= 0
+        # scanning only beyond the first violation finds the next one or none
+        rest = _kernels.first_violation(
+            S.add, S.mul, cu, cq, nvars, 0, full + 1, total
+        )
+        assert rest == -1 or rest > full
+        before = _kernels.first_violation(
+            S.add, S.mul, cu, cq, nvars, 0, 0, full
+        )
+        assert before == -1
+
+    @pytest.mark.parametrize("name,nvars", [
+        ("order2", 17), ("S7", 11), ("S53", 11), ("S4_124", 9),
+        ("S4_359", 9), ("R6", 7),
+    ])
+    def test_matches_digits_reference(self, name, nvars):
+        # k^nvars spans several slabs; windows start and stop mid-slab
+        S = ORDER2 if name == "order2" else registry(name)
+        k = S.order
+        cells = k ** max(r for r in range(nvars + 1) if k ** r <= _kernels.SLAB_CELLS)
+        total = k ** nvars
+        assert total >= 4 * cells
+        rng = random.Random(nvars * 1000 + k)
+        for _ in range(4):
+            q, u, v = _random_check(rng, nvars)
+            vi = {x: i for i, x in enumerate(sorted(content(u)))}
+            cu, cq, cv = _compiled(u, vi), _compiled(Term([q]), vi), _compiled(v, vi)
+            windows = [(0, total), (cells // 2, 3 * cells + 7),
+                       (cells - 1, cells + 1), (total - cells - 3, total)]
+            for _ in range(6):
+                lo = rng.randrange(total)
+                windows.append((lo, min(total, lo + rng.randint(1, 3 * cells))))
+            for mode, (ta, tb) in ((0, (cu, cq)), (1, (cu, cv))):
+                for lo, hi in windows:
+                    assert _kernels.first_violation(
+                        S.add, S.mul, ta, tb, nvars, mode, lo, hi
+                    ) == digits_first_violation(
+                        S.add, S.mul, ta, tb, nvars, mode, lo, hi
+                    ), (str(q), str(u), str(v), mode, lo, hi)
+
+    @pytest.mark.parametrize("name", ["S2", "S7", "S53", "S4_124", "S4_359", "R6"])
+    def test_small_checks_match_digits_reference(self, name):
+        # the oracle's shape: few variables, one slab, full and partial ranges
+        S = registry(name)
+        rng = random.Random(17)
+        for _ in range(60):
+            q, u = random_inequality(rng)
+            cu, cq, nvars = _compile_pair(S, q, u)
+            total = S.order ** nvars
+            lo = rng.randrange(total)
+            for mode in (0, 1):
+                for a, b in ((0, total), (lo, total), (0, lo), (lo, lo)):
+                    assert _kernels.first_violation(
+                        S.add, S.mul, cu, cq, nvars, mode, a, b
+                    ) == digits_first_violation(S.add, S.mul, cu, cq, nvars, mode, a, b)
 
 
 class TestCanonicalForms:

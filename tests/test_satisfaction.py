@@ -132,17 +132,23 @@ class TestBruteForce:
                     c = got.counterexample
                     assert (c.assignment, c.left_value, c.right_value) == first
 
-    def test_threads_do_not_change_the_verdict(self, S4_359):
-        # 10 variables on 4 elements crosses the parallel threshold, and the
-        # inequality fails, so the counterexample merge is exercised too
-        u = t("x1x2 + x3x4 + x5x6 + x7x8 + x9")
-        q = w("y")
-        results = [
-            holds_inequality(S4_359, q, u, threads=n) for n in (1, 2, 7)
+    def test_threads_do_not_change_the_verdict(self, S4_359, S7):
+        cases = [
+            # 10 variables on 4 elements crosses the parallel threshold, and
+            # the inequality fails, so the counterexample merge is exercised
+            (S4_359, "y", "x1x2 + x3x4 + x5x6 + x7x8 + x9"),
+            # 11 variables on 3 elements: the thread chunks of 32,768
+            # assignments do not line up with the scan's slabs of 3^9, and
+            # the first violation lies mid-slab, past the fourth chunk
+            (S7, "x10y1", "y1x1 + x2x3 + x4x5 + x6x7 + x8x9 + x10"),
         ]
-        assert not results[0].holds
-        assert all(r.holds == results[0].holds for r in results)
-        assert all(r.counterexample == results[0].counterexample for r in results)
+        for S, q, u in cases:
+            results = [
+                holds_inequality(S, w(q), t(u), threads=n) for n in (1, 2, 7)
+            ]
+            assert not results[0].holds
+            assert all(r.holds == results[0].holds for r in results)
+            assert all(r.counterexample == results[0].counterexample for r in results)
 
 
 class TestReduceIdentity:
