@@ -78,11 +78,9 @@ def _eval_term(add, mul, term, operands):
     return acc
 
 
-def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop) -> int:
-    """Index of the first assignment in [start, stop) violating the check,
-    or -1 when none does."""
-    if start >= stop:
-        return -1
+def first_violation(add, mul, term_a, term_b, nvars, mode) -> int:
+    """Index of the first assignment violating the check, or -1 when none
+    does."""
     k = add.shape[0]
     r = nvars
     while k ** r > SLAB_CELLS:
@@ -90,7 +88,7 @@ def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop) -> int:
     lead = nvars - r
     cells = k ** r
     axes = _axes(k, r)
-    for slab in range(start // cells, (stop - 1) // cells + 1):
+    for slab in range(k ** lead):
         digits = []
         prefix = slab
         for _ in range(lead):
@@ -101,16 +99,8 @@ def first_violation(add, mul, term_a, term_b, nvars, mode, start, stop) -> int:
         va = _eval_term(add, mul, term_a, operands)
         vb = _eval_term(add, mul, term_b, operands)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
-        if ok.all():
-            continue
-        # the check fails somewhere in this slab; look for the first failing
-        # cell inside the window only
-        base = slab * cells
-        lo = max(start - base, 0)
-        flat = np.broadcast_to(ok, (k,) * r).ravel()[lo:stop - base]
-        first = int(np.argmin(flat))
-        if not flat[first]:
-            return base + lo + first
+        if not ok.all():
+            return slab * cells + int(np.argmin(np.broadcast_to(ok, (k,) * r)))
     return -1
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .derivation import (
     search_derivation,
 )
 from .enumeration import classify_additive_type, enumerate_ai_semirings, screen_family
-from .family import in_W
+from .family import MAX_N_WITHOUT_FORCE, in_W
 from .satisfaction import (
     SatisfactionVerdict,
     VariableBudgetError,
@@ -75,6 +74,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; an unreadable file is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _usage(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _usage(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _usage(str(exc)) from None
+
+
 def _load_algebra(spec: str) -> FiniteAiSemiring:
     if spec in REGISTRY_NAMES:
         return registry(spec)
@@ -85,7 +101,7 @@ def _load_algebra(spec: str) -> FiniteAiSemiring:
             "nor an existing file"
         )
     try:
-        return parse_algebra(path.read_text())
+        return parse_algebra(_read_text(spec))
     except AlgebraSyntaxError as exc:
         raise _usage(f"{spec}: {exc}") from None
     except (TableFormatError, ValueError) as exc:
@@ -163,10 +179,7 @@ def _emit_verdict(v: SatisfactionVerdict, S: FiniteAiSemiring, as_json: bool,
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise _usage(str(exc)) from None
+    text = _read_text(args.file)
     try:
         name, labels, add, mul = parse_algebra_raw(text)
         report = validate(add, mul)
@@ -189,10 +202,10 @@ def cmd_holds(args) -> int:
     try:
         if args.ineq is not None:
             q, u = _parse_inequality(args.ineq)
-            v = holds_inequality(S, q, u, force=args.force, threads=args.threads)
+            v = holds_inequality(S, q, u, force=args.force)
             return _emit_verdict(v, S, args.json, "left", "right")
         u, w = _parse_identity(args.id)
-        v = holds_identity(S, u, w, force=args.force, threads=args.threads)
+        v = holds_identity(S, u, w, force=args.force)
         return _emit_verdict(v, S, args.json, "left", "right")
     except VariableBudgetError as exc:
         raise _semantic(str(exc)) from None
@@ -228,7 +241,7 @@ def cmd_decide(args) -> int:
 def cmd_family(args) -> int:
     S = _load_algebra(args.algebra)
     try:
-        verdicts = in_W(S, args.nmax, force=args.force, threads=args.threads)
+        verdicts = in_W(S, args.nmax, force=args.force)
     except VariableBudgetError as exc:
         raise _semantic(str(exc)) from None
     if args.json:
@@ -320,13 +333,18 @@ def cmd_subdirect(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.screen_family is not None and args.screen_family > MAX_N_WITHOUT_FORCE:
+        raise _usage(
+            f"--screen-family {args.screen_family} is over the limit of "
+            f"{MAX_N_WITHOUT_FORCE} (enumerate has no --force)"
+        )
     try:
         algebras = enumerate_ai_semirings(args.order)
     except ValueError as exc:
         raise _usage(str(exc)) from None
     screened = algebras
     if args.screen_family is not None:
-        screened = screen_family(algebras, args.screen_family, threads=args.threads)
+        screened = screen_family(algebras, args.screen_family)
     types = classify_additive_type(screened)
 
     records = "\n---\n".join(serialize_algebra(S).rstrip("\n") for S in screened)
@@ -346,7 +364,7 @@ def cmd_enumerate(args) -> int:
 
     shown = summary_lines if args.classify else summary_lines[:1]
     if args.out:
-        Path(args.out).write_text(body)
+        _write_text(args.out, body)
         for line in shown:
             print(line.lstrip("# "))
     elif args.json:
@@ -364,10 +382,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_derive_check(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise _usage(str(exc)) from None
+    text = _read_text(args.file)
     try:
         d = parse_derivation(text)
     except DerivationSyntaxError as exc:
@@ -409,7 +424,7 @@ def cmd_derive_search(args) -> int:
         return SEMANTIC_ERROR
     text = format_derivation(result.derivation)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         print(f"derivation with {len(result.derivation.steps)} step(s) "
               f"written to {args.out}")
     else:
@@ -418,18 +433,9 @@ def cmd_derive_search(args) -> int:
 
 
 def cmd_paper_verify(args) -> int:
-    report = run_claims(full=args.full, threads=args.threads)
+    report = run_claims(full=args.full)
     print(report.to_json() if args.json else report.render())
     return 0 if report.ok else SEMANTIC_ERROR
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.cpu_count(),
-        help="worker count for brute-force assignment scans (default: all CPUs)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="ignore the assignment-count guard")
     p.add_argument("--json", action="store_true")
-    _add_threads(p)
     p.set_defaults(func=cmd_holds)
 
     p = sub.add_parser("decide", help="syntactic deciders for S2/S7/S53")
@@ -466,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_positive_int, default=3)
     p.add_argument("--force", action="store_true")
     p.add_argument("--json", action="store_true")
-    _add_threads(p)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("quotient", help="quotient by a congruence")
@@ -502,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write records to a file instead of stdout")
     p.add_argument("--json", action="store_true",
                    help="print a summary as JSON instead of records")
-    _add_threads(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("derive", help="check or search derivations")
@@ -529,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="include the order-4 census")
     p.add_argument("--json", action="store_true")
-    _add_threads(p)
     p.set_defaults(func=cmd_paper_verify)
 
     return parser

@@ -106,11 +106,6 @@ def classify_additive_type(algebras: list[FiniteAiSemiring]) -> list[AdditiveTyp
 
 
 def screen_family(algebras: list[FiniteAiSemiring], n_max: int, *,
-                  force: bool = False,
-                  threads: int | None = None) -> list[FiniteAiSemiring]:
+                  force: bool = False) -> list[FiniteAiSemiring]:
     """Subset of a census satisfying the family inequality for all n <= n_max."""
-    return [
-        S
-        for S in algebras
-        if member_of_W(S, n_max, force=force, threads=threads)
-    ]
+    return [S for S in algebras if member_of_W(S, n_max, force=force)]

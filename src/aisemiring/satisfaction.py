@@ -10,7 +10,6 @@ force on its algebra.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernels
@@ -30,8 +29,6 @@ Assignment = dict[Variable, int]
 
 #: refuse enumerations beyond this many assignments unless forced
 GUARD_LIMIT = 4 ** 16
-
-_PARALLEL_THRESHOLD = 1 << 16
 
 
 class VariableBudgetError(RuntimeError):
@@ -92,65 +89,40 @@ def _guard(k: int, nvars: int, force: bool) -> None:
         )
 
 
-def _scan(S: FiniteAiSemiring, ca, cb, nvars: int, mode: int,
-          threads: int | None) -> int:
-    total = S.order ** nvars
-    if not threads or threads <= 1 or total < _PARALLEL_THRESHOLD:
-        return _kernels.first_violation(S.add, S.mul, ca, cb, nvars, mode, 0, total)
-    chunk = max(_PARALLEL_THRESHOLD // 2, -(-total // (threads * 8)))
-    starts = list(range(0, total, chunk))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for batch_start in range(0, len(starts), threads):
-            batch = starts[batch_start:batch_start + threads]
-            results = list(
-                ex.map(
-                    lambda lo: _kernels.first_violation(
-                        S.add, S.mul, ca, cb, nvars, mode,
-                        lo, min(lo + chunk, total),
-                    ),
-                    batch,
-                )
-            )
-            hits = [r for r in results if r >= 0]
-            if hits:
-                # chunks in a batch are index-ordered, so the least hit is
-                # the globally first violation
-                return min(hits)
-    return -1
+def _first_failing_assignment(S: FiniteAiSemiring, a: Term, b: Term,
+                              mode: int, force: bool) -> Assignment | None:
+    """The least assignment failing the check of a against b (see _kernels
+    for the modes), or None when every assignment passes."""
+    variables = sorted(content(a) | content(b))
+    _guard(S.order, len(variables), force)
+    vi = {x: i for i, x in enumerate(variables)}
+    idx = _kernels.first_violation(
+        S.add, S.mul, _compiled(a, vi), _compiled(b, vi), len(variables), mode
+    )
+    return None if idx < 0 else _assignment_from_index(idx, variables, S.order)
 
 
 def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
-                     force: bool = False,
-                     threads: int | None = None) -> SatisfactionVerdict:
+                     force: bool = False) -> SatisfactionVerdict:
     """Exhaustively decide whether q lies below u in S.
 
     The inequality means u ~ u + q as an identity; a counterexample carries
     the violating assignment with both evaluated values (left = q).
     """
-    variables = sorted(content(u) | content(q))
-    _guard(S.order, len(variables), force)
-    vi = {x: i for i, x in enumerate(variables)}
-    qt = Term([q])
-    idx = _scan(S, _compiled(u, vi), _compiled(qt, vi), len(variables), 0, threads)
-    if idx < 0:
+    a = _first_failing_assignment(S, u, Term([q]), 0, force)
+    if a is None:
         return SatisfactionVerdict(True)
-    a = _assignment_from_index(idx, variables, S.order)
     return SatisfactionVerdict(
         False, Counterexample(a, evaluate(q, S, a), evaluate(u, S, a))
     )
 
 
 def holds_identity(S: FiniteAiSemiring, u: Term, v: Term, *,
-                   force: bool = False,
-                   threads: int | None = None) -> SatisfactionVerdict:
+                   force: bool = False) -> SatisfactionVerdict:
     """Exhaustively decide whether u ~ v holds in S."""
-    variables = sorted(content(u) | content(v))
-    _guard(S.order, len(variables), force)
-    vi = {x: i for i, x in enumerate(variables)}
-    idx = _scan(S, _compiled(u, vi), _compiled(v, vi), len(variables), 1, threads)
-    if idx < 0:
+    a = _first_failing_assignment(S, u, v, 1, force)
+    if a is None:
         return SatisfactionVerdict(True)
-    a = _assignment_from_index(idx, variables, S.order)
     return SatisfactionVerdict(
         False, Counterexample(a, evaluate(u, S, a), evaluate(v, S, a))
     )

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import natural_order, registry, validate
+from .algebra import REGISTRY_NAMES, natural_order, registry, validate
 from .derivation import SearchBounds, check_derivation, neighbors, search_derivation
 from .enumeration import (
     classify_additive_type,
@@ -40,7 +40,6 @@ from .satisfaction import (
 from .structure import Partition, are_isomorphic, check_subdirect, quotient, subalgebra
 from .terms import Term, Word, content, delta, occ, parse_term
 
-REGISTRY_ALL = ("R6", "S2", "S4_124", "S4_359", "S53", "S7")
 _SEED = 20250806
 
 
@@ -108,16 +107,13 @@ class RunReport:
 
 def claim_registry_valid():
     bad = []
-    for name in REGISTRY_ALL:
+    for name in REGISTRY_NAMES:
         S = registry(name)
         report = validate(S.add, S.mul)
         if not report.ok:
             bad.append(name)
-    return "all 6 reference algebras pass the axiom check", (
-        "all 6 reference algebras pass the axiom check"
-        if not bad
-        else f"violations in {bad}"
-    )
+    expected = f"all {len(REGISTRY_NAMES)} reference algebras pass the axiom check"
+    return expected, expected if not bad else f"violations in {bad}"
 
 
 def claim_profile_s4_124():
@@ -180,10 +176,10 @@ def claim_subdirect():
     return expected, f"R6 decomposition ok={ok1}, S4_359 decomposition ok={ok2}"
 
 
-def claim_family_brute_force(threads=None):
+def claim_family_brute_force():
     failing = []
     for name in ("S2", "S7", "S53", "S4_124"):
-        for v in in_W(registry(name), 3, threads=threads):
+        for v in in_W(registry(name), 3):
             if not v.holds:
                 failing.append((name, v.n))
     expected = "S2, S7, S53, S4_124 satisfy the family inequality for n=1..3"
@@ -349,9 +345,9 @@ def claim_census_4():
     return "866 classes, 5 additive types, 217 with two minimals and two coatoms", observed
 
 
-def claim_screen_3(threads=None):
+def claim_screen_3():
     algebras = enumerate_ai_semirings(3)
-    passing = screen_family(algebras, 2, threads=threads)
+    passing = screen_family(algebras, 2)
     missing = [
         name
         for name in ("S2", "S7", "S53")
@@ -454,89 +450,82 @@ def claim_derivation_soundness(count: int = 1000):
     return expected, expected
 
 
-def claim_out_of_scope():
-    return (
-        "listed as out of scope",
-        "out of scope: not machine-checkable",
-    )
-
-
 # ---------------------------------------------------------------------------
 
 #: claim_id -> (description, time budget in seconds, needs --full, runner);
-#: runner(threads) returns (expected, observed), threads going to brute-force scans
+#: runner() returns (expected, observed)
 CLAIM_TABLE = {
     "registry-valid": (
         "reference Cayley tables satisfy all ai-semiring axioms",
         1.0,
         False,
-        lambda threads: claim_registry_valid(),
+        claim_registry_valid,
     ),
     "profile-s4-124": (
         "additive profile of S4_124 (top, minimals, coatoms)",
         1.0,
         False,
-        lambda threads: claim_profile_s4_124(),
+        claim_profile_s4_124,
     ),
     "structure-s4-124": (
         "S4_124 contains S2 and S53 and maps onto S7",
         1.0,
         False,
-        lambda threads: claim_structure_s4_124(),
+        claim_structure_s4_124,
     ),
     "subdirect-decompositions": (
         "R6 and S4_359 split as subdirect products",
         1.0,
         False,
-        lambda threads: claim_subdirect(),
+        claim_subdirect,
     ),
     "family-brute-force": (
         "reference algebras satisfy the cycle-family inequality, n=1..3",
         5.0,
         False,
-        lambda threads: claim_family_brute_force(threads),
+        claim_family_brute_force,
     ),
     "decider-oracle": (
         "syntactic deciders agree with brute force on 10,000 inequalities",
         60.0,
         False,
-        lambda threads: claim_decider_oracle(),
+        claim_decider_oracle,
     ),
     "delta-computation": (
         "delta is empty on the family and matches the subset oracle",
         5.0,
         False,
-        lambda threads: claim_delta(),
+        claim_delta,
     ),
     "graph-bipartition": (
         "odd cycles detected; constrained bipartitions built and refused correctly",
         30.0,
         False,
-        lambda threads: claim_graphs(),
+        claim_graphs,
     ),
     "census-order-3": (
         "census of order-3 ai-semirings up to isomorphism",
         30.0,
         False,
-        lambda threads: claim_census_3(),
+        claim_census_3,
     ),
     "census-order-4": (
         "census of order-4 ai-semirings with additive-type split",
         900.0,
         True,
-        lambda threads: claim_census_4(),
+        claim_census_4,
     ),
     "screen-order-3": (
         "order-3 classes passing the family screen at n<=2",
         60.0,
         False,
-        lambda threads: claim_screen_3(threads),
+        claim_screen_3,
     ),
     "derivation-soundness": (
         "fuzzed derivation searches are checker-certified and model-sound",
         120.0,
         False,
-        lambda threads: claim_derivation_soundness(),
+        claim_derivation_soundness,
     ),
 }
 
@@ -548,8 +537,7 @@ OUT_OF_SCOPE = {
 }
 
 
-def run_claims(full: bool = False, threads: int | None = None,
-               only: set[str] | None = None) -> RunReport:
+def run_claims(full: bool = False, only: set[str] | None = None) -> RunReport:
     claims: list[ClaimResult] = []
     for claim_id, (desc, budget, needs_full, runner) in CLAIM_TABLE.items():
         if only is not None and claim_id not in only:
@@ -561,7 +549,7 @@ def run_claims(full: bool = False, threads: int | None = None,
             continue
         t0 = time.perf_counter()
         try:
-            expected, observed = runner(threads)
+            expected, observed = runner()
             status = "pass" if expected == observed else "fail"
         except Exception as exc:  # claim code raising is a failure, not a crash
             expected, observed = "claim runs to completion", f"{type(exc).__name__}: {exc}"

@@ -19,7 +19,7 @@ from aisemiring import verify
 def test_criterion(claim_id):
     _desc, budget_seconds, _needs_full, runner = verify.CLAIM_TABLE[claim_id]
     t0 = time.perf_counter()
-    expected, observed = runner(None)
+    expected, observed = runner()
     elapsed = time.perf_counter() - t0
     ok = expected == observed
     print(

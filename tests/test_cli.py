@@ -78,14 +78,6 @@ class TestHolds:
         code, _, err = run(capsys, "holds", "S2")
         assert code == 2 and "exactly one" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_non_positive_threads_is_a_usage_error(self, capsys, threads):
-        code, err = usage_error(
-            capsys, "holds", "S2", "--ineq", "x <= y", "--threads", threads
-        )
-        assert code == 2
-        assert "usage:" in err and "--threads" in err
-
     def test_unknown_algebra(self, capsys):
         code, _, err = run(capsys, "holds", "NOPE", "--ineq", "x <= x")
         assert code == 2 and "registry" in err
@@ -213,6 +205,13 @@ class TestEnumerate:
         assert code == 2
         assert "usage:" in err and "--screen-family" in err
 
+    def test_screen_family_over_the_limit_is_a_usage_error(self, capsys):
+        # enumerate has no --force, so N past the family guard is refused
+        # before the census runs
+        code, _, err = run(capsys, "enumerate", "--order", "2", "--screen-family", "4")
+        assert code == 2
+        assert "over the limit of 3" in err
+
 
 class TestDerive:
     def test_search_then_check(self, tmp_path, capsys):
@@ -283,6 +282,46 @@ class TestDerive:
         assert code == 2
 
 
+class TestFileErrors:
+    """Files that cannot be read or written are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("holds", "{dir}", "--ineq", "x <= y"),
+        ("iso", "{dir}", "S2"),
+    ])
+    def test_directory_as_algebra(self, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "{file}"),
+        ("derive", "check", "{file}"),
+        ("holds", "{file}", "--ineq", "x <= y"),
+    ])
+    def test_non_utf8_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(b"algebra caf\xe9\n")
+        argv = [a.format(file=path) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{path}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--order", "1", "--out", "{out}"),
+        ("derive", "search", "--rule", "xy = yx", "--claim", "xy + z = yx + z",
+         "--out", "{out}"),
+    ])
+    def test_out_into_missing_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(out=out) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "No such file or directory" in err
+        assert not out.parent.exists()
+
+
 class TestPaperVerify:
     def test_selected_claims_json(self, capsys, monkeypatch):
         # trim to the fast claims for the CLI-level smoke test; the full run
@@ -310,7 +349,7 @@ class TestPaperVerify:
             "reference Cayley tables satisfy all ai-semiring axioms",
             1.0,
             False,
-            lambda threads: ("all pass", "S7 corrupted"),
+            lambda: ("all pass", "S7 corrupted"),
         )
         trimmed = {k: broken[k] for k in ("registry-valid", "profile-s4-124")}
         monkeypatch.setattr(verify, "CLAIM_TABLE", trimmed)
@@ -321,7 +360,7 @@ class TestPaperVerify:
     def test_budget_overrun_fails(self, monkeypatch):
         # a claim whose answer is right but which runs past its budget fails,
         # and the overrun is named; within budget, observed is left as it is
-        def slow(threads):
+        def slow():
             time.sleep(0.01)
             return "done", "done"
 

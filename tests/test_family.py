@@ -82,6 +82,8 @@ class TestMembership:
             in_W(S2, 0)
 
     def test_serial_and_parallel_agree(self, S4_124):
+        # in_W accepts and ignores threads=; this guards the benchmark's
+        # in_W(..., threads=2) call until that item is dropped
         serial = in_W(S4_124, 3)
         parallel = in_W(S4_124, 3, threads=4)
         assert [(v.n, v.holds) for v in serial] == [

@@ -78,72 +78,50 @@ def _random_check(rng, nvars):
 
 
 class TestScan:
-    def test_start_stop_windows(self):
-        S = registry("S2")
-        rng = random.Random(3)
-        # draw until an inequality fails, so that it has a first violation
-        for _ in range(100):
-            q, u = random_inequality(rng)
-            cu, cq, nvars = _compile_pair(S, q, u)
-            total = S.order ** nvars
-            full = _kernels.first_violation(S.add, S.mul, cu, cq, nvars, 0, 0, total)
-            if full >= 0:
-                break
-        assert full >= 0
-        # scanning only beyond the first violation finds the next one or none
-        rest = _kernels.first_violation(
-            S.add, S.mul, cu, cq, nvars, 0, full + 1, total
-        )
-        assert rest == -1 or rest > full
-        before = _kernels.first_violation(
-            S.add, S.mul, cu, cq, nvars, 0, 0, full
-        )
-        assert before == -1
-
     @pytest.mark.parametrize("name,nvars", [
         ("order2", 17), ("S7", 11), ("S53", 11), ("S4_124", 9),
         ("S4_359", 9), ("R6", 7),
     ])
     def test_matches_digits_reference(self, name, nvars):
-        # k^nvars spans several slabs; windows start and stop mid-slab
+        # k^nvars spans several slabs
         S = ORDER2 if name == "order2" else registry(name)
         k = S.order
         cells = k ** max(r for r in range(nvars + 1) if k ** r <= _kernels.SLAB_CELLS)
         total = k ** nvars
         assert total >= 4 * cells
         rng = random.Random(nvars * 1000 + k)
+        past_slab0 = 0
         for _ in range(4):
             q, u, v = _random_check(rng, nvars)
             vi = {x: i for i, x in enumerate(sorted(content(u)))}
             cu, cq, cv = _compiled(u, vi), _compiled(Term([q]), vi), _compiled(v, vi)
-            windows = [(0, total), (cells // 2, 3 * cells + 7),
-                       (cells - 1, cells + 1), (total - cells - 3, total)]
-            for _ in range(6):
-                lo = rng.randrange(total)
-                windows.append((lo, min(total, lo + rng.randint(1, 3 * cells))))
             for mode, (ta, tb) in ((0, (cu, cq)), (1, (cu, cv))):
-                for lo, hi in windows:
-                    assert _kernels.first_violation(
-                        S.add, S.mul, ta, tb, nvars, mode, lo, hi
-                    ) == digits_first_violation(
-                        S.add, S.mul, ta, tb, nvars, mode, lo, hi
-                    ), (str(q), str(u), str(v), mode, lo, hi)
+                got = _kernels.first_violation(S.add, S.mul, ta, tb, nvars, mode)
+                assert got == digits_first_violation(
+                    S.add, S.mul, ta, tb, nvars, mode, 0, total
+                ), (str(q), str(u), str(v), mode)
+                past_slab0 += got == -1 or got >= cells
+        # some check must scan beyond the first slab, or the slab loop is
+        # never exercised
+        assert past_slab0
 
     @pytest.mark.parametrize("name", ["S2", "S7", "S53", "S4_124", "S4_359", "R6"])
     def test_small_checks_match_digits_reference(self, name):
-        # the oracle's shape: few variables, one slab, full and partial ranges
+        # the oracle's shape: few variables, one slab
         S = registry(name)
         rng = random.Random(17)
+        outcomes = set()
         for _ in range(60):
             q, u = random_inequality(rng)
             cu, cq, nvars = _compile_pair(S, q, u)
             total = S.order ** nvars
-            lo = rng.randrange(total)
             for mode in (0, 1):
-                for a, b in ((0, total), (lo, total), (0, lo), (lo, lo)):
-                    assert _kernels.first_violation(
-                        S.add, S.mul, cu, cq, nvars, mode, a, b
-                    ) == digits_first_violation(S.add, S.mul, cu, cq, nvars, mode, a, b)
+                got = _kernels.first_violation(S.add, S.mul, cu, cq, nvars, mode)
+                assert got == digits_first_violation(
+                    S.add, S.mul, cu, cq, nvars, mode, 0, total
+                )
+                outcomes.add(got >= 0)
+        assert outcomes == {False, True}
 
 
 class TestCanonicalForms:

@@ -132,23 +132,24 @@ class TestBruteForce:
                     c = got.counterexample
                     assert (c.assignment, c.left_value, c.right_value) == first
 
-    def test_threads_do_not_change_the_verdict(self, S4_359, S7):
+    def test_multi_slab_scans_find_the_least_counterexample(self, S4_359, S7):
         cases = [
-            # 10 variables on 4 elements crosses the parallel threshold, and
-            # the inequality fails, so the counterexample merge is exercised
-            (S4_359, "y", "x1x2 + x3x4 + x5x6 + x7x8 + x9"),
-            # 11 variables on 3 elements: the thread chunks of 32,768
-            # assignments do not line up with the scan's slabs of 3^9, and
-            # the first violation lies mid-slab, past the fourth chunk
-            (S7, "x10y1", "y1x1 + x2x3 + x4x5 + x6x7 + x8x9 + x10"),
+            # 10 variables on 4 elements: 64 slabs of 4^7; the first violation,
+            # index 139,809, lies in slab 8
+            (S4_359, "y", "x1x2 + x3x4 + x5x6 + x7x8 + x9",
+             {"x1": 0, "x3": 0, "x5": 0, "x7": 0, "x9": 0,
+              "x2": 2, "x4": 2, "x6": 2, "x8": 2, "y": 1}, 1, 0),
+            # 11 variables on 3 elements: 9 slabs of 3^9; the first violation,
+            # index 150,082, lies in the middle of slab 7
+            (S7, "x10y1", "y1x1 + x2x3 + x4x5 + x6x7 + x8x9 + x10",
+             {"x1": 2, "x3": 2, "x5": 2, "x7": 2, "x9": 2,
+              "x2": 1, "x4": 1, "x6": 1, "x8": 1, "x10": 1, "y1": 1}, 0, 1),
         ]
-        for S, q, u in cases:
-            results = [
-                holds_inequality(S, w(q), t(u), threads=n) for n in (1, 2, 7)
-            ]
-            assert not results[0].holds
-            assert all(r.holds == results[0].holds for r in results)
-            assert all(r.counterexample == results[0].counterexample for r in results)
+        for S, q, u, assignment, left, right in cases:
+            got = holds_inequality(S, w(q), t(u))
+            assert not got.holds
+            c = got.counterexample
+            assert (c.assignment, c.left_value, c.right_value) == (assignment, left, right)
 
 
 class TestReduceIdentity:
