@@ -43,6 +43,7 @@ from .graphs import (
     odd_path_exists,
 )
 from .satisfaction import (
+    DECIDERS,
     Assignment,
     SatisfactionVerdict,
     decide_s2,

@@ -3,12 +3,18 @@
 Elements are 0-based indices; labels are presentation-only. The natural
 order is a <= b iff a + b = b, which makes addition the join of a
 semilattice with a top element.
+
+The axioms are checked in one place: ``_failure_masks`` yields a numpy
+failure mask per axiom family. ``tables_valid`` stops at the first family
+that fails; ``validate`` reads its witnesses from the same masks.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,65 +70,80 @@ def _as_table(table, what: str) -> np.ndarray:
     return arr
 
 
-def validate(add, mul) -> ValidationReport:
-    """Check the five axiom families, reporting every violation found.
-
-    Malformed tables raise TableFormatError; axiom failures come back in
-    the report with witnessing elements, capped at MAX_VIOLATION_WITNESSES.
-    """
+def _as_tables(add, mul) -> tuple[np.ndarray, np.ndarray]:
     a = _as_table(add, "addition")
     m = _as_table(mul, "multiplication")
     if a.shape != m.shape:
         raise TableFormatError("addition and multiplication tables differ in order")
-    k = a.shape[0]
-    out: list[Violation] = []
-    truncated = False
+    return a, m
 
-    def push(axiom: str, witness: tuple[int, ...]) -> bool:
-        nonlocal truncated
-        if len(out) >= MAX_VIOLATION_WITNESSES:
-            truncated = True
-            return False
-        out.append(Violation(axiom, witness))
-        return True
 
-    for i in range(k):
-        if a[i, i] != i and not push("additive idempotency", (i,)):
-            break
-    for i in range(k):
-        for j in range(i + 1, k):
-            if a[i, j] != a[j, i] and not push("additive commutativity", (i, j)):
-                break
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                if a[a[i, j], l] != a[i, a[j, l]]:
-                    push("additive associativity", (i, j, l))
-                if m[m[i, j], l] != m[i, m[j, l]]:
-                    push("multiplicative associativity", (i, j, l))
-                if m[i, a[j, l]] != a[m[i, j], m[i, l]]:
-                    push("left distributivity", (i, j, l))
-                if m[a[i, j], l] != a[m[i, l], m[j, l]]:
-                    push("right distributivity", (i, j, l))
-    return ValidationReport(not out, tuple(out[:MAX_VIOLATION_WITNESSES]), truncated)
+#: the axiom families in report order; the last four range over triples
+AXIOMS = (
+    "additive idempotency",
+    "additive commutativity",
+    "additive associativity",
+    "multiplicative associativity",
+    "left distributivity",
+    "right distributivity",
+)
+
+
+@functools.cache
+def _grids(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index grids for order k, shared by every call and only read: the
+    elements, the same along the first of three axes, and the pairs i < j
+    in row-major order."""
+    r = np.arange(k)
+    iu, ju = np.triu_indices(k, 1)
+    return r, r[:, None, None], iu, ju
+
+
+def _failure_masks(a: np.ndarray, m: np.ndarray) -> Iterator[np.ndarray]:
+    """The failure mask of each family in AXIOMS, in order: over i for
+    idempotency, over the pairs i < j for commutativity, and over the
+    triples (i, j, l) for the other four."""
+    r, i, iu, ju = _grids(a.shape[0])
+    yield a.diagonal() != r
+    yield a[iu, ju] != a[ju, iu]
+    # a[i, j], a[j, l], m[i, l] and so on as broadcast views of the tables
+    aij, ajl = a[:, :, None], a[None]
+    mij, mil, mjl = m[:, :, None], m[:, None, :], m[None]
+    yield a[aij, r] != a[i, ajl]
+    yield m[mij, r] != m[i, mjl]
+    yield m[i, ajl] != a[mij, mil]
+    yield m[aij, r] != a[mil, mjl]
+
+
+def _witnesses(a: np.ndarray, m: np.ndarray) -> Iterator[Violation]:
+    """Every violation in report order: idempotency by i, commutativity by
+    (i, j), then the triple families by (i, j, l) and family order."""
+    idem, comm, *triples = _failure_masks(a, m)
+    _, _, iu, ju = _grids(a.shape[0])
+    for i in np.flatnonzero(idem):
+        yield Violation(AXIOMS[0], (int(i),))
+    for p in np.flatnonzero(comm):
+        yield Violation(AXIOMS[1], (int(iu[p]), int(ju[p])))
+    for *witness, f in np.argwhere(np.stack(triples, axis=-1)).tolist():
+        yield Violation(AXIOMS[2 + f], tuple(witness))
+
+
+def validate(add, mul) -> ValidationReport:
+    """Check the axiom families, reporting every violation found.
+
+    Malformed tables raise TableFormatError; axiom failures come back in
+    the report with witnessing elements, capped at MAX_VIOLATION_WITNESSES.
+    """
+    a, m = _as_tables(add, mul)
+    found = list(itertools.islice(_witnesses(a, m), MAX_VIOLATION_WITNESSES + 1))
+    truncated = len(found) > MAX_VIOLATION_WITNESSES
+    return ValidationReport(not found, tuple(found[:MAX_VIOLATION_WITNESSES]), truncated)
 
 
 def tables_valid(add: np.ndarray, mul: np.ndarray) -> bool:
-    """Fast all-or-nothing axiom check (no witnesses)."""
-    a, m = add, mul
-    k = a.shape[0]
-    if not np.array_equal(a, a.T) or not np.array_equal(np.diag(a), np.arange(k)):
-        return False
-    ii, jj, ll = np.indices((k, k, k))
-    if not np.array_equal(a[a[ii, jj], ll], a[ii, a[jj, ll]]):
-        return False
-    if not np.array_equal(m[m[ii, jj], ll], m[ii, m[jj, ll]]):
-        return False
-    if not np.array_equal(m[ii, a[jj, ll]], a[m[ii, jj], m[ii, ll]]):
-        return False
-    if not np.array_equal(m[a[ii, jj], ll], a[m[ii, ll], m[jj, ll]]):
-        return False
-    return True
+    """Fast all-or-nothing axiom check (no witnesses): stops at the first
+    family that fails."""
+    return not any(mask.any() for mask in _failure_masks(add, mul))
 
 
 class FiniteAiSemiring:
@@ -134,21 +155,15 @@ class FiniteAiSemiring:
 
     __slots__ = ("name", "order", "labels", "add", "mul")
 
-    def __init__(self, name: str, labels: Sequence[str], add, mul, *,
-                 _trusted: bool = False):
-        a = _as_table(add, "addition")
-        m = _as_table(mul, "multiplication")
-        if a.shape != m.shape:
-            raise TableFormatError(
-                "addition and multiplication tables differ in order"
-            )
+    def __init__(self, name: str, labels: Sequence[str], add, mul):
+        a, m = _as_tables(add, mul)
         k = a.shape[0]
         labels = tuple(str(x) for x in labels)
         if len(labels) != k:
             raise TableFormatError("table/label arity mismatch")
         if len(set(labels)) != k:
             raise TableFormatError("labels must be distinct")
-        if not _trusted and not tables_valid(a, m):
+        if not tables_valid(a, m):
             report = validate(a, m)
             raise ValueError(
                 f"{name}: not an ai-semiring: "

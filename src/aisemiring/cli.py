@@ -33,11 +33,9 @@ from .derivation import (
 from .enumeration import classify_additive_type, enumerate_ai_semirings, screen_family
 from .family import MAX_N_WITHOUT_FORCE, in_W
 from .satisfaction import (
+    DECIDERS,
     SatisfactionVerdict,
     VariableBudgetError,
-    decide_s2,
-    decide_s53,
-    decide_s7,
     holds_identity,
     holds_inequality,
 )
@@ -154,16 +152,15 @@ def _parse_subset(S: FiniteAiSemiring, text: str) -> list[int]:
         raise _usage(str(exc)) from None
 
 
-def _emit_verdict(v: SatisfactionVerdict, S: FiniteAiSemiring, as_json: bool,
-                  left_name: str, right_name: str) -> int:
+def _emit_verdict(v: SatisfactionVerdict, S: FiniteAiSemiring, as_json: bool) -> int:
     if as_json:
         payload = {"holds": v.holds}
         if v.counterexample is not None:
             c = v.counterexample
             payload["counterexample"] = {
                 "assignment": {x: S.label(e) for x, e in c.assignment.items()},
-                left_name: S.label(c.left_value),
-                right_name: S.label(c.right_value),
+                "left": S.label(c.left_value),
+                "right": S.label(c.right_value),
             }
         print(json.dumps(payload, indent=2))
     elif v.holds:
@@ -173,8 +170,8 @@ def _emit_verdict(v: SatisfactionVerdict, S: FiniteAiSemiring, as_json: bool,
         binding = ", ".join(f"{x} = {S.label(e)}" for x, e in sorted(c.assignment.items()))
         print("holds: no")
         print(f"counterexample: {binding}")
-        print(f"  {left_name} evaluates to {S.label(c.left_value)}")
-        print(f"  {right_name} evaluates to {S.label(c.right_value)}")
+        print(f"  left evaluates to {S.label(c.left_value)}")
+        print(f"  right evaluates to {S.label(c.right_value)}")
     return 0 if v.holds else SEMANTIC_ERROR
 
 
@@ -203,18 +200,17 @@ def cmd_holds(args) -> int:
         if args.ineq is not None:
             q, u = _parse_inequality(args.ineq)
             v = holds_inequality(S, q, u, force=args.force)
-            return _emit_verdict(v, S, args.json, "left", "right")
-        u, w = _parse_identity(args.id)
-        v = holds_identity(S, u, w, force=args.force)
-        return _emit_verdict(v, S, args.json, "left", "right")
+        else:
+            u, w = _parse_identity(args.id)
+            v = holds_identity(S, u, w, force=args.force)
     except VariableBudgetError as exc:
         raise _semantic(str(exc)) from None
+    return _emit_verdict(v, S, args.json)
 
 
 def cmd_decide(args) -> int:
-    deciders = {"s2": (decide_s2, "S2"), "s7": (decide_s7, "S7"),
-                "s53": (decide_s53, "S53")}
-    decider, registry_name = deciders[args.which]
+    registry_name = args.which.upper()
+    decider = DECIDERS[registry_name]
     q, u = _parse_inequality(args.ineq)
     got = decider(q, u)
     payload = {"algebra": registry_name, "inequality": f"{q} <= {print_term(u)}",
@@ -459,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_holds)
 
     p = sub.add_parser("decide", help="syntactic deciders for S2/S7/S53")
-    p.add_argument("which", choices=["s2", "s7", "s53"])
+    p.add_argument("which", choices=[name.lower() for name in DECIDERS])
     p.add_argument("--ineq", required=True, help='inequality "q <= u"')
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute force")

@@ -440,7 +440,8 @@ def _chain_to(sigma: list[Identity], back, key: TermKey) -> Derivation:
 #
 # '#' starts a comment. Rule indices are 1-based into the sigma section;
 # 'left'/'right' are context words, 'rest' is the remainder term, 'sub'
-# lists variable := term bindings. '-' (or an omitted field) means empty.
+# lists variable := term bindings. '-' (or an omitted field) means empty;
+# an unknown or repeated field is a syntax error.
 
 
 class DerivationSyntaxError(ValueError):
@@ -494,16 +495,17 @@ def parse_derivation(text: str) -> Derivation:
 
 def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep:
     fields: dict[str, str] = {}
-    head = None
     for piece in body.split(";"):
         piece = piece.strip()
         if not piece:
             continue
         key, _, value = piece.partition(" ")
-        if key == "rule":
-            head = value.strip()
-        else:
-            fields[key] = value.strip()
+        if key not in ("rule", "left", "right", "rest", "sub"):
+            raise DerivationSyntaxError(f"unknown step field {key!r}", lineno)
+        if key in fields:
+            raise DerivationSyntaxError(f"repeated step field {key!r}", lineno)
+        fields[key] = value.strip()
+    head = fields.get("rule")
     if head is None:
         raise DerivationSyntaxError("step needs a 'rule N forward|backward' field", lineno)
     parts = head.split()

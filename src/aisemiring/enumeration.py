@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .algebra import FiniteAiSemiring, profile_from_add
+from .algebra import FiniteAiSemiring, profile_from_add, tables_valid
 from .family import member_of_W
-
-
-def _is_associative(table: np.ndarray) -> bool:
-    k = table.shape[0]
-    ii, jj, ll = np.indices((k, k, k))
-    return bool(np.array_equal(table[table[ii, jj], ll], table[ii, table[jj, ll]]))
 
 
 def enumerate_semilattices(k: int) -> list[np.ndarray]:
@@ -37,7 +31,9 @@ def enumerate_semilattices(k: int) -> list[np.ndarray]:
 
     def fill(idx: int) -> None:
         if idx == len(cells):
-            if _is_associative(table):
+            # a symmetric idempotent table t is a semilattice exactly when
+            # (t, t) is an ai-semiring
+            if tables_valid(table, table):
                 found.add(_kernels.canonical_table(table))
             return
         i, j = cells[idx]

@@ -5,11 +5,14 @@ edge per summand (xy and yx give the same edge, xx gives a loop). The key
 construction is a bipartition forced to keep a given vertex set on one
 side, which exists exactly when the graph has no odd cycle and no two of
 the given vertices are joined by an odd-length path.
+
+Every question here is answered from one breadth-first search, ``_bfs``,
+and its visit order, depths and parents: a component holds an odd cycle
+exactly when some edge joins two vertices of the same depth.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .terms import Term, Variable, content, level
@@ -67,6 +70,32 @@ def make_graph(edges, vertices=()) -> TermGraph:
     return TermGraph(vs, es)
 
 
+def _bfs(adj: dict[Variable, list[Variable]], root: Variable):
+    """Breadth-first search from root over sorted adjacency lists: the
+    visit order, the depth of each reached vertex and its parent in the
+    search tree (None for the root)."""
+    order = [root]
+    depth = {root: 0}
+    parent: dict[Variable, Variable | None] = {root: None}
+    for x in order:  # order grows while it is read: it is the queue
+        for y in adj[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                parent[y] = x
+                order.append(y)
+    return order, depth, parent
+
+
+def _same_depth_edge(adj, order, depth) -> tuple[Variable, Variable] | None:
+    """The first edge, in visit order, whose ends have the same depth; a
+    component has one exactly when it holds an odd cycle."""
+    for x in order:
+        for y in adj[x]:
+            if depth[y] == depth[x]:
+                return x, y
+    return None
+
+
 def find_odd_cycle(G: TermGraph) -> list[Variable] | None:
     """Some odd cycle as a vertex list (consecutive pairs and the wrap-around
     pair are edges), or None when the graph is bipartite."""
@@ -74,23 +103,15 @@ def find_odd_cycle(G: TermGraph) -> list[Variable] | None:
         if a == b:
             return [a]
     adj = G.adjacency()
-    parent: dict[Variable, Variable | None] = {}
-    depth: dict[Variable, int] = {}
+    seen: set[Variable] = set()
     for start in sorted(G.vertices):
-        if start in depth:
+        if start in seen:
             continue
-        parent[start] = None
-        depth[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in depth:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-                elif y != parent[x] and (depth[x] + depth[y]) % 2 == 0:
-                    return _tree_cycle(parent, depth, x, y)
+        order, depth, parent = _bfs(adj, start)
+        seen.update(order)
+        edge = _same_depth_edge(adj, order, depth)
+        if edge is not None:
+            return _tree_cycle(parent, depth, *edge)
     return None
 
 
@@ -125,16 +146,10 @@ def odd_path_exists(G: TermGraph, x: Variable, y: Variable) -> bool:
         missing = x if x not in G.vertices else y
         raise ValueError(f"vertex {missing!r} not in graph")
     adj = G.adjacency()
-    seen = {(x, 0)}
-    queue = deque([(x, 0)])
-    while queue:
-        v, par = queue.popleft()
-        for w in adj[v]:
-            state = (w, par ^ 1)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return (y, 1) in seen
+    order, depth, _ = _bfs(adj, x)
+    if y not in depth:
+        return False
+    return depth[y] % 2 == 1 or _same_depth_edge(adj, order, depth) is not None
 
 
 def constrained_bipartition(
@@ -156,40 +171,23 @@ def constrained_bipartition(
         raise OddCycleError(tuple(cycle))
 
     adj = G.adjacency()
-    assigned: set[Variable] = set()
     Y: set[Variable] = set()
     Z: set[Variable] = set()
     for start in sorted(G.vertices):
-        if start in assigned:
+        if start in Y or start in Z:
             continue
-        comp: list[Variable] = []
-        queue = deque([start])
-        assigned.add(start)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in assigned:
-                    assigned.add(y)
-                    queue.append(y)
-        h_in = sorted(set(comp) & H)
-        rep = h_in[0] if h_in else min(comp)
-        depth = {rep: 0}
-        parent: dict[Variable, Variable | None] = {rep: None}
-        queue = deque([rep])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    parent[y] = x
-                    queue.append(y)
+        # start is the least vertex of its component
+        order, depth, parent = _bfs(adj, start)
+        h_in = sorted(H.intersection(order))
+        rep = h_in[0] if h_in else start
+        if rep != start:
+            order, depth, parent = _bfs(adj, rep)
         for h in h_in:
             if depth[h] % 2 == 1:
                 path = [h]
                 while path[-1] != rep:
                     path.append(parent[path[-1]])
                 raise OddPathError((rep, h), tuple(reversed(path)))
-        for v in comp:
+        for v in order:
             (Y if depth[v] % 2 == 0 else Z).add(v)
     return frozenset(Y), frozenset(Z)

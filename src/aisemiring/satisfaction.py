@@ -184,3 +184,7 @@ def decide_s53(q: Word, u: Term) -> bool:
     return all(
         any(content(wp) <= content(w) for wp in usubs) for w in subwords2(q)
     )
+
+
+#: the syntactic decider of each reference algebra, by registry name
+DECIDERS = {"S2": decide_s2, "S7": decide_s7, "S53": decide_s53}

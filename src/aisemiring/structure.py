@@ -194,12 +194,8 @@ def find_isomorphism(A: FiniteAiSemiring, B: FiniteAiSemiring) -> tuple[int, ...
     """First table-preserving bijection in lexicographic order, or None."""
     if A.order != B.order:
         return None
-    k = A.order
-    for perm in itertools.permutations(range(k)):
-        sig = np.array(perm)
-        if np.array_equal(sig[A.add], B.add[np.ix_(sig, sig)]) and np.array_equal(
-            sig[A.mul], B.mul[np.ix_(sig, sig)]
-        ):
+    for perm in itertools.permutations(range(A.order)):
+        if Homomorphism(A, B, perm).is_valid():
             return perm
     return None
 

@@ -2,19 +2,79 @@ import numpy as np
 import pytest
 
 from aisemiring.algebra import (
+    MAX_VIOLATION_WITNESSES,
     AlgebraSyntaxError,
     FiniteAiSemiring,
     TableFormatError,
+    ValidationReport,
+    Violation,
     is_commutative_mult,
     natural_order,
     parse_algebra,
     parse_algebra_raw,
     registry,
     serialize_algebra,
+    tables_valid,
     validate,
 )
 
 ALL_NAMES = ["S2", "S7", "S53", "S4_124", "S4_359", "R6"]
+
+
+def loop_validate(add, mul) -> ValidationReport:
+    """Reference axiom check: one element, pair or triple at a time, in
+    report order, keeping the first MAX_VIOLATION_WITNESSES witnesses."""
+    a, m = np.asarray(add), np.asarray(mul)
+    k = a.shape[0]
+    out: list[Violation] = []
+    truncated = False
+
+    def push(axiom: str, witness: tuple[int, ...]) -> bool:
+        nonlocal truncated
+        if len(out) >= MAX_VIOLATION_WITNESSES:
+            truncated = True
+            return False
+        out.append(Violation(axiom, witness))
+        return True
+
+    for i in range(k):
+        if a[i, i] != i and not push("additive idempotency", (i,)):
+            break
+    for i in range(k):
+        for j in range(i + 1, k):
+            if a[i, j] != a[j, i] and not push("additive commutativity", (i, j)):
+                break
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if a[a[i, j], l] != a[i, a[j, l]]:
+                    push("additive associativity", (i, j, l))
+                if m[m[i, j], l] != m[i, m[j, l]]:
+                    push("multiplicative associativity", (i, j, l))
+                if m[i, a[j, l]] != a[m[i, j], m[i, l]]:
+                    push("left distributivity", (i, j, l))
+                if m[a[i, j], l] != a[m[i, l], m[j, l]]:
+                    push("right distributivity", (i, j, l))
+    return ValidationReport(not out, tuple(out), truncated)
+
+
+def random_table_pairs(seed: int, per_order: int):
+    """Seeded (add, mul) pairs for k = 1..5: uniform random tables, and the
+    chain semilattice with a valid multiplication (constant top, or the
+    addition itself) with up to three cells overwritten."""
+    rng = np.random.default_rng(seed)
+    for k in range(1, 6):
+        chain = np.maximum.outer(np.arange(k), np.arange(k))
+        for n in range(per_order):
+            if n % 3 == 0:
+                yield rng.integers(0, k, (k, k)), rng.integers(0, k, (k, k))
+                continue
+            a = chain.copy()
+            m = np.full((k, k), k - 1) if n % 3 == 1 else chain.copy()
+            for _ in range(rng.integers(0, 4)):
+                t = a if rng.random() < 0.5 else m
+                t[rng.integers(k), rng.integers(k)] = rng.integers(k)
+            yield a, m
 
 
 class TestRegistry:
@@ -69,6 +129,38 @@ class TestValidate:
         report = validate([[0, 0], [0, 0]], [[0, 0], [0, 0]])
         assert not report.ok
         assert len(report.violations) >= 1
+
+    def test_matches_the_loop_reference(self):
+        outcomes = {"ok": 0, "failed": 0, "truncated": 0}
+        for a, m in random_table_pairs(seed=8, per_order=150):
+            report = validate(a, m)
+            assert report == loop_validate(a, m), (a.tolist(), m.tolist())
+            assert tables_valid(a, m) == report.ok
+            outcomes["truncated" if report.truncated
+                     else "ok" if report.ok else "failed"] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_witness_order_and_cap(self):
+        # idempotency, then commutativity over i < j, then the triple
+        # families by (i, j, l) and family order, well past the cap
+        a = np.array([[0, 0, 2], [1, 0, 2], [0, 0, 0]])
+        m = np.array([[1, 2, 0], [0, 2, 1], [2, 2, 0]])
+        report = validate(a, m)
+        assert report.truncated
+        assert len(report.violations) == MAX_VIOLATION_WITNESSES
+        assert [(v.axiom, v.witness) for v in report.violations[:8]] == [
+            ("additive idempotency", (1,)),
+            ("additive idempotency", (2,)),
+            ("additive commutativity", (0, 1)),
+            ("additive commutativity", (0, 2)),
+            ("additive commutativity", (1, 2)),
+            ("multiplicative associativity", (0, 0, 0)),
+            ("left distributivity", (0, 0, 0)),
+            ("right distributivity", (0, 0, 0)),
+        ]
+        triples = [v.witness for v in report.violations[5:]]
+        assert triples == sorted(triples)
+        assert report == loop_validate(a, m)
 
     def test_constructor_rejects_invalid(self, S7):
         bad = S7.add.copy()

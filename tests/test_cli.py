@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from aisemiring.algebra import parse_algebra, registry, serialize_algebra
-from aisemiring.cli import main
+from aisemiring.cli import build_parser, main
 from aisemiring.structure import are_isomorphic
 from aisemiring import verify
 
@@ -23,6 +26,33 @@ def usage_error(capsys, *argv):
 
 
 FAMILY_U1 = "x1x2 + x2x3 + x3x1 + y1y2 + y2y1 + y1"
+
+
+def readme_command_lines() -> list[str]:
+    """The `aisemiring ...` lines of the README's "Command line" block, with
+    `#` comments stripped and `[--flag]` written as `--flag`."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = []
+    for raw in block.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("aisemiring "):
+            lines.append(re.sub(r"\[(--[\w-]+)\]", r"\1", line))
+    return lines
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        lines = readme_command_lines()
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command line does not parse: {line}")
 
 
 class TestValidate:
@@ -252,6 +282,19 @@ class TestDerive:
         path.write_text(
             f"sigma:\nxy = yx\nchain:\nxy\nyx\nstep: rule 1 forward; {sub}\n"
         )
+        code, _, err = run(capsys, "derive", "check", str(path))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fields,message", [
+        ("rule 1 forward; rset z", "line 6: unknown step field 'rset'"),
+        ("rule 1 forward; rule 1 backward", "line 6: repeated step field 'rule'"),
+        ("rule 1 forward; rest -; rest z", "line 6: repeated step field 'rest'"),
+    ])
+    def test_bad_step_field_is_a_syntax_error(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "d.txt"
+        path.write_text(f"sigma:\nxy = yx\nchain:\nxy\nyx\nstep: {fields}\n")
         code, _, err = run(capsys, "derive", "check", str(path))
         assert code == 2
         assert message in err

@@ -71,6 +71,18 @@ class TestOddCycles:
             pair = tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
             assert pair in g.edges
 
+    def test_first_same_depth_edge_in_visit_order_wins(self):
+        # from a, (y, z) is met before (c, d) in visit order, though (c, d)
+        # sorts first among the edges
+        g = make_graph([("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"),
+                        ("a", "y"), ("a", "z"), ("y", "z")])
+        assert find_odd_cycle(g) == ["y", "a", "z"]
+
+    def test_cycle_from_the_component_of_the_least_vertex(self):
+        g = make_graph([("p", "q"), ("q", "r"), ("p", "r"),
+                        ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+        assert find_odd_cycle(g) == ["c", "b", "a", "e", "d"]
+
     def test_bipartite_iff_no_odd_cycle(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -99,6 +111,14 @@ class TestOddPaths:
         g = make_graph([("a", "b"), ("b", "c"), ("a", "c")])
         for x, y in [("a", "b"), ("b", "c"), ("a", "c")]:
             assert odd_path_exists(g, x, y)
+
+    def test_odd_cycle_away_from_both_endpoints(self):
+        # a and c sit at even distance; the triangle d-e-f hangs off the path
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "d"),
+                        ("d", "e"), ("e", "f"), ("d", "f")])
+        assert odd_path_exists(g, "a", "c")
+        assert not odd_path_exists(make_graph([("a", "b"), ("b", "c"), ("c", "d")]),
+                                   "a", "c")
 
     def test_disconnected_vertices(self):
         g = make_graph([("a", "b")], vertices=["c"])
@@ -141,6 +161,15 @@ class TestConstrainedBipartition:
         g = make_graph([("b", "c"), ("d", "e")])
         Y, Z = constrained_bipartition(g, set())
         assert {"b", "d"} <= Y  # least vertex of each component lands in Y
+
+    def test_root_is_the_least_vertex_of_h_not_of_the_component(self):
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        Y, Z = constrained_bipartition(g, {"b", "d"})
+        assert Y == {"b", "d"} and Z == {"a", "c", "e"}
+        with pytest.raises(OddPathError) as info:
+            constrained_bipartition(g, {"e", "b"})
+        assert info.value.pair == ("b", "e")
+        assert info.value.path == ("b", "c", "d", "e")
 
     def test_random_bipartite_instances(self):
         rng = random.Random(23)
