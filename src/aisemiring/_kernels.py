@@ -6,8 +6,9 @@ every variable assignment of a finite algebra (satisfaction checks) and
 backtracking over multiplication tables (the census). The census is a
 pure-Python backtrack that, after each new cell, checks only the
 associativity and distributivity instances reading that cell, O(k^2) work
-instead of the O(k^3) of a full re-check. Canonical forms take a running
-lexicographic minimum over carrier permutations with numpy.
+instead of the O(k^3) of a full re-check. Canonical forms come from one
+least-relabelling search over carrier permutations, which also returns the
+permutations reaching the least table (for a canonical one, its automorphisms).
 
 The scan is a broadcast over a k x ... x k grid with one axis per variable.
 Each word is evaluated once, over the axes of its own variables only, as a
@@ -244,6 +245,18 @@ def _relabelled(tables, perm, inv) -> np.ndarray:
     return out.astype(np.uint8).reshape(*tables.shape[:-2], -1)
 
 
+def _least_relabelling(table) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The least relabelling of a (k, k) table as row-major uint8 bytes, the
+    permutations giving it, one per row (Aut(table) when it is canonical),
+    and their inverses."""
+    arr = np.ascontiguousarray(table, dtype=np.int64)
+    perms, invs = permutation_arrays(arr.shape[0])
+    forms = [_relabelled(arr, perms[p], invs[p]).tobytes() for p in range(len(perms))]
+    least = min(forms)
+    reach = [form == least for form in forms]
+    return least, perms[reach], invs[reach]
+
+
 def canonical_pairs(add, muls) -> list[bytes]:
     """Canonical form of (add, mul) for each mul: the lexicographically
     least relabelling of both tables, flattened add-then-mul.
@@ -256,21 +269,13 @@ def canonical_pairs(add, muls) -> list[bytes]:
     add = np.ascontiguousarray(add, dtype=np.int64)
     k = add.shape[0]
     muls = np.ascontiguousarray(muls, dtype=np.int64).reshape(-1, k, k)
-    n = muls.shape[0]
-    if n == 0:
+    if len(muls) == 0:
         return []
-    perms, invs = permutation_arrays(k)
-    adds = [_relabelled(add, perms[p], invs[p]).tobytes() for p in range(len(perms))]
-    least_add = min(adds)
-    rows = np.arange(n)
-    best = None
-    for p, form in enumerate(adds):
-        if form != least_add:
-            continue
-        cand = _relabelled(muls, perms[p], invs[p])
-        if best is None:
-            best = cand
-            continue
+    least_add, perms, invs = _least_relabelling(add)
+    best = _relabelled(muls, perms[0], invs[0])
+    rows = np.arange(len(muls))
+    for perm, inv in zip(perms[1:], invs[1:]):
+        cand = _relabelled(muls, perm, inv)
         col = np.argmax(cand != best, axis=1)
         less = cand[rows, col] < best[rows, col]
         best[less] = cand[less]
@@ -288,9 +293,7 @@ def unpack_pair(form: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def canonical_table(table) -> bytes:
     """Canonical form of a single table (used for additive reducts)."""
-    arr = np.ascontiguousarray(table, dtype=np.int64)
-    perms, invs = permutation_arrays(arr.shape[0])
-    return min(_relabelled(arr, perms[p], invs[p]).tobytes() for p in range(len(perms)))
+    return _least_relabelling(table)[0]
 
 
 def unpack_table(form: bytes, k: int) -> np.ndarray:

@@ -30,7 +30,8 @@ from .derivation import (
     parse_derivation,
     search_derivation,
 )
-from .enumeration import classify_additive_type, enumerate_ai_semirings, screen_family
+from .enumeration import (MAX_CENSUS_ORDER, classify_additive_type,
+                          enumerate_ai_semirings, screen_family)
 from .family import MAX_N_WITHOUT_FORCE, in_W
 from .satisfaction import (
     DECIDERS,
@@ -126,16 +127,21 @@ def _parse_identity(text: str) -> tuple[Term, Term]:
         raise _usage(str(exc)) from None
 
 
+def _parse_labels(S: FiniteAiSemiring, text: str) -> list[int]:
+    """Elements of S named by a comma-separated label list."""
+    try:
+        return [S.index(x.strip()) for x in text.split(",") if x.strip()]
+    except KeyError as exc:
+        raise _usage(str(exc)) from None
+
+
 def _parse_blocks(S: FiniteAiSemiring, text: str) -> Partition:
     blocks = []
     for chunk in text.split("|"):
-        labels = [x.strip() for x in chunk.split(",") if x.strip()]
-        if not labels:
+        block = _parse_labels(S, chunk)
+        if not block:
             raise _usage(f"empty block in {text!r}")
-        try:
-            blocks.append([S.index(lab) for lab in labels])
-        except KeyError as exc:
-            raise _usage(str(exc)) from None
+        blocks.append(block)
     try:
         return Partition.closing(blocks, S.order)
     except ValueError as exc:
@@ -143,13 +149,10 @@ def _parse_blocks(S: FiniteAiSemiring, text: str) -> Partition:
 
 
 def _parse_subset(S: FiniteAiSemiring, text: str) -> list[int]:
-    labels = [x.strip() for x in text.split(",") if x.strip()]
-    if not labels:
+    subset = _parse_labels(S, text)
+    if not subset:
         raise _usage("empty subset")
-    try:
-        return [S.index(lab) for lab in labels]
-    except KeyError as exc:
-        raise _usage(str(exc)) from None
+    return subset
 
 
 def _emit_verdict(v: SatisfactionVerdict, S: FiniteAiSemiring, as_json: bool) -> int:
@@ -216,7 +219,14 @@ def cmd_decide(args) -> int:
     payload = {"algebra": registry_name, "inequality": f"{q} <= {print_term(u)}",
                "decider": got}
     if args.oracle:
-        want = holds_inequality(registry(registry_name), q, u).holds
+        try:
+            want = holds_inequality(registry(registry_name), q, u).holds
+        except VariableBudgetError as exc:
+            budget = str(exc).partition(";")[0]
+            raise _semantic(
+                f"--oracle: {budget}; decide has no --force, run "
+                f"aisemiring holds {registry_name} --ineq \"{payload['inequality']}\" --force"
+            ) from None
         payload["oracle"] = want
         if got != want:
             if args.json:
@@ -492,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_subdirect)
 
-    p = sub.add_parser("enumerate", help="census of orders 1..4 up to isomorphism")
+    p = sub.add_parser("enumerate",
+                       help=f"census of orders 1..{MAX_CENSUS_ORDER} up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--classify", action="store_true",
                    help="summarize counts per additive type")

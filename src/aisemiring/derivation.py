@@ -234,11 +234,15 @@ def _dedupe_bindings(bindings):
     return out
 
 
-def _subsets(words: frozenset[Letters], cap: int = 3):
+#: most words a rewritten image may have for every subset of it to be tried
+_SUBSET_CAP = 3
+
+
+def _subsets(words: frozenset[Letters]):
     """Subsets of a small word set (all of them if small, else just the two
     extremes); the remainder may keep any part of the rewritten image."""
     ws = sorted(words, key=lambda letters: (len(letters), letters))
-    if len(ws) <= cap:
+    if len(ws) <= _SUBSET_CAP:
         for r in range(len(ws) + 1):
             yield from (frozenset(c) for c in itertools.combinations(ws, r))
     else:
@@ -450,6 +454,14 @@ class DerivationSyntaxError(ValueError):
         super().__init__(prefix + message)
 
 
+def _parse_at(parse, text: str, lineno: int):
+    """parse(text), with a TermSyntaxError reported at line ``lineno``."""
+    try:
+        return parse(text)
+    except TermSyntaxError as exc:
+        raise DerivationSyntaxError(str(exc), lineno) from None
+
+
 def parse_derivation(text: str) -> Derivation:
     sigma: list[Identity] = []
     chain: list[Term] = []
@@ -471,16 +483,10 @@ def parse_derivation(text: str) -> Derivation:
         if section == "sigma":
             if "=" not in line:
                 raise DerivationSyntaxError("identity needs '='", lineno)
-            lhs, rhs = line.split("=", 1)
-            try:
-                sigma.append((parse_term(lhs), parse_term(rhs)))
-            except TermSyntaxError as exc:
-                raise DerivationSyntaxError(str(exc), lineno) from None
+            sigma.append(tuple(_parse_at(parse_term, side, lineno)
+                               for side in line.split("=", 1)))
         elif section == "chain":
-            try:
-                chain.append(parse_term(line))
-            except TermSyntaxError as exc:
-                raise DerivationSyntaxError(str(exc), lineno) from None
+            chain.append(_parse_at(parse_term, line, lineno))
         else:
             raise DerivationSyntaxError(f"unexpected content {line!r}", lineno)
     if not chain:
@@ -524,18 +530,12 @@ def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep
         value = fields.get(name, "-")
         if value in ("-", ""):
             return ()
-        try:
-            return parse_word(value).letters
-        except TermSyntaxError as exc:
-            raise DerivationSyntaxError(str(exc), lineno) from None
+        return _parse_at(parse_word, value, lineno).letters
 
     rest_text = fields.get("rest", "-")
     remainder = None
     if rest_text not in ("-", ""):
-        try:
-            remainder = parse_term(rest_text)
-        except TermSyntaxError as exc:
-            raise DerivationSyntaxError(str(exc), lineno) from None
+        remainder = _parse_at(parse_term, rest_text, lineno)
     mapping: dict[Variable, Term] = {}
     sub_text = fields.get("sub", "-")
     if sub_text not in ("-", ""):
@@ -548,10 +548,8 @@ def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep
             var = var.strip()
             if var in mapping:
                 raise DerivationSyntaxError(f"duplicate binding for {var}", lineno)
-            try:
-                mapping[check_variable(var)] = parse_term(image)
-            except TermSyntaxError as exc:
-                raise DerivationSyntaxError(str(exc), lineno) from None
+            mapping[_parse_at(check_variable, var, lineno)] = _parse_at(
+                parse_term, image, lineno)
     return DerivationStep(
         rule=sigma[idx - 1],
         forward=parts[1] == "forward",

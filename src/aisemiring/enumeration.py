@@ -1,10 +1,11 @@
-"""Census of semilattices and ai-semirings of order <= 4 up to isomorphism.
+"""Census of semilattices and ai-semirings up to isomorphism, of order at
+most MAX_CENSUS_ORDER.
 
-Generation fixes the addition table to a canonical semilattice and
+Generation fixes the addition table to a canonical semilattice L and
 backtracks over multiplication tables (the hot loop lives in
-:mod:`aisemiring._kernels`); residual symmetry under semilattice
-automorphisms is removed by a final canonical-form dedup. Class names and
-ordering follow the canonical forms, not any external numbering.
+:mod:`aisemiring._kernels`); residual symmetry is removed by taking the
+least relabelling of (add, mul) over Aut(L). Class names and ordering
+follow the canonical forms, not any external numbering.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from . import _kernels
 from .algebra import FiniteAiSemiring, profile_from_add, tables_valid
 from .family import member_of_W
 
+#: largest order the census enumerates
+MAX_CENSUS_ORDER = 4
+
 
 def enumerate_semilattices(k: int) -> list[np.ndarray]:
     """All commutative idempotent associative tables on k elements up to
     isomorphism, each in its canonical labelling."""
-    if not 1 <= k <= 4:
-        raise ValueError("semilattice census supports orders 1..4")
+    if not 1 <= k <= MAX_CENSUS_ORDER:
+        raise ValueError(f"semilattice census supports orders 1..{MAX_CENSUS_ORDER}")
     cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
     table = np.arange(k, dtype=np.int64)[:, None].repeat(k, axis=1)
     for i in range(k):
@@ -52,8 +56,8 @@ def enumerate_ai_semirings(k: int) -> list[FiniteAiSemiring]:
     canonical semilattice, so running the multiplication census per
     semilattice and deduplicating canonical (add, mul) forms is complete.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("ai-semiring census supports orders 1..4")
+    if not 1 <= k <= MAX_CENSUS_ORDER:
+        raise ValueError(f"ai-semiring census supports orders 1..{MAX_CENSUS_ORDER}")
     forms: set[bytes] = set()
     for add in enumerate_semilattices(k):
         forms.update(_kernels.canonical_pairs(add, _kernels.census_mul_tables(add)))
@@ -101,7 +105,6 @@ def classify_additive_type(algebras: list[FiniteAiSemiring]) -> list[AdditiveTyp
     return out
 
 
-def screen_family(algebras: list[FiniteAiSemiring], n_max: int, *,
-                  force: bool = False) -> list[FiniteAiSemiring]:
+def screen_family(algebras: list[FiniteAiSemiring], n_max: int) -> list[FiniteAiSemiring]:
     """Subset of a census satisfying the family inequality for all n <= n_max."""
-    return [S for S in algebras if member_of_W(S, n_max, force=force)]
+    return [S for S in algebras if member_of_W(S, n_max)]

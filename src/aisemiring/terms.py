@@ -125,10 +125,6 @@ class Term:
             key = self._key = tuple((len(w.letters), w.letters) for w in self.words)
         return key
 
-    @staticmethod
-    def of(*words: Word | str) -> "Term":
-        return Term(parse_word(w) if isinstance(w, str) else w for w in words)
-
     def __len__(self) -> int:
         return len(self.words)
 

@@ -180,14 +180,19 @@ def claim_family_brute_force():
     return expected, expected if not failing else f"failures: {failing}"
 
 
+def _random_word(rng: random.Random, variables, max_len: int) -> Word:
+    return Word(rng.choice(variables) for _ in range(rng.randint(1, max_len)))
+
+
+def _random_term(rng: random.Random, variables, max_summands: int, max_len: int) -> Term:
+    return Term(_random_word(rng, variables, max_len)
+                for _ in range(rng.randint(1, max_summands)))
+
+
 def random_inequality(rng: random.Random, variables=("x", "y", "z", "w"),
                       max_summands: int = 4, max_len: int = 4):
-    q = Word(rng.choice(variables) for _ in range(rng.randint(1, max_len)))
-    u = Term(
-        Word(rng.choice(variables) for _ in range(rng.randint(1, max_len)))
-        for _ in range(rng.randint(1, max_summands))
-    )
-    return q, u
+    q = _random_word(rng, variables, max_len)
+    return q, _random_term(rng, variables, max_summands, max_len)
 
 
 def claim_decider_oracle(count: int = 10_000):
@@ -232,12 +237,8 @@ def claim_delta(count: int = 400):
         if delta(make_family(n).u) != frozenset():
             return "empty delta for family n=1..10", f"nonempty delta at n={n}"
     rng = random.Random(_SEED + 1)
-    variables = ("a", "b", "c", "d", "e")
     for i in range(count):
-        u = Term(
-            Word(rng.choice(variables) for _ in range(rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 4))
-        )
+        u = _random_term(rng, ("a", "b", "c", "d", "e"), 4, 4)
         if delta(u) != delta_by_enumeration(u):
             return (
                 "delta matches the subset-enumeration oracle",
@@ -369,28 +370,12 @@ def _random_sigma(rng: random.Random):
             lhs, rhs = _IDENTITY_TEMPLATES[rng.randrange(len(_IDENTITY_TEMPLATES))]
             sigma.append((parse_term(lhs), parse_term(rhs)))
         else:
-            variables = ("x", "y")
-            sigma.append(
-                (
-                    Term(
-                        Word(rng.choice(variables) for _ in range(rng.randint(1, 2)))
-                        for _ in range(rng.randint(1, 2))
-                    ),
-                    Term(
-                        Word(rng.choice(variables) for _ in range(rng.randint(1, 2)))
-                        for _ in range(rng.randint(1, 2))
-                    ),
-                )
-            )
+            sigma.append(tuple(_random_term(rng, ("x", "y"), 2, 2) for _ in range(2)))
     return sigma
 
 
 def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
-    variables = ("a", "b", "c")
-    start = Term(
-        Word(rng.choice(variables) for _ in range(rng.randint(1, 2)))
-        for _ in range(rng.randint(1, 2))
-    )
+    start = _random_term(rng, ("a", "b", "c"), 2, 2)
     cur = start
     pool = sorted(content(start)) or ["a"]
     for _ in range(rng.randint(1, 2)):

@@ -132,6 +132,19 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "s53", "--oracle", "--ineq", "xz <= xy + z")
         assert code == 1
 
+    def test_oracle_over_the_budget_is_one_error_line(self, capsys):
+        # 3^21 assignments pass the guard; decide has no --force, so the
+        # error names the holds command that has one
+        ineq = "x1 <= " + " + ".join(f"x{i}" for i in range(1, 22))
+        code, out, err = run(capsys, "decide", "s2", "--oracle", "--ineq", ineq)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith(
+            "error: --oracle: 3^21 assignments exceed the budget of 4294967296; "
+            "decide has no --force, run aisemiring holds S2 --ineq \"x1 <= x1 + x10 + "
+        )
+        assert line.endswith(" + x9\" --force")
+
 
 class TestFamily:
     def test_s4_124(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -135,3 +136,27 @@ class TestCanonicalForms:
         for add in enumerate_semilattices(4):
             form = _kernels.canonical_table(add)
             assert _kernels.canonical_table(_kernels.unpack_table(form, 4)) == form
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_least_relabelling_gives_the_automorphisms(self, k):
+        # brute force over all k! permutations: p is an automorphism of L
+        # when p(L[a, b]) = L[p(a), p(b)] for every a, b
+        rng = random.Random(k)
+        perms = list(itertools.permutations(range(k)))
+        for L in enumerate_semilattices(k):
+            auts = [p for p in perms
+                    if all(p[L[a, b]] == L[p[a], p[b]] for a in range(k) for b in range(k))]
+            form, found, _ = _kernels._least_relabelling(L)
+            assert form == L.astype(np.uint8).tobytes()
+            assert [tuple(map(int, p)) for p in found] == auts
+            # on a relabelled copy sigma(L) the permutations reaching L are
+            # exactly the p with p o sigma in Aut(L)
+            sigma = rng.sample(range(k), k)
+            copy = np.empty_like(L)
+            for a in range(k):
+                for b in range(k):
+                    copy[sigma[a], sigma[b]] = sigma[L[a, b]]
+            form, found, inverses = _kernels._least_relabelling(copy)
+            assert form == L.astype(np.uint8).tobytes()
+            assert sorted(tuple(int(p[s]) for s in sigma) for p in found) == auts
+            assert all(np.array_equal(inv[p], np.arange(k)) for p, inv in zip(found, inverses))
