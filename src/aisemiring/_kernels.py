@@ -4,9 +4,11 @@ census and canonical forms.
 The workbench spends almost all of its runtime in two inner loops: scanning
 every variable assignment of a finite algebra (satisfaction checks) and
 backtracking over multiplication tables (the census). The census is a
-pure-Python backtrack that, after each new cell, checks only the
-associativity and distributivity instances reading that cell, O(k^2) work
-instead of the O(k^3) of a full re-check. Canonical forms come from one
+pure-Python backtrack over whole rows of the table: each row is a
+join-endomorphism of the additive semilattice, chosen by index from the
+precomputed set of them, whose joins and compositions are tabled, so
+setting a row checks right distributivity and associativity as row
+equations and forces the rows they name. Canonical forms come from one
 least-relabelling search over carrier permutations, which also returns the
 permutations reaching the least table (for a canonical one, its automorphisms).
 
@@ -108,123 +110,116 @@ def first_violation(add, mul, term_a, term_b, nvars, mode) -> int:
 # ---------------------------------------------------------------------------
 # multiplication-table census
 
-def _compatible_at(add, mul, k, i, j):
-    """False when an associativity or distributivity instance that reads
-    cell (i, j) of the partial table ``mul`` (-1 = unset) has every cell it
-    reads set and fails; True otherwise.
-
-    The instances that read (i, j), with v = ij:
-      * associativity (ab)c = a(bc) with (a, b) = (i, j), with (b, c) = (i, j),
-        with ab = i and c = j, or with a = i and bc = j;
-      * left distributivity a(b + c) = ab + ac with a = i;
-      * right distributivity (a + b)c = ac + bc with c = j.
-    Each family costs O(k^2), against O(k^3) for all instances.
-    """
-    mi = mul[i]
-    v = mi[j]
-    mj = mul[j]
-    mv = mul[v]
-    # (ij)c = i(jc)
-    for c in range(k):
-        jc = mj[c]
-        if jc >= 0:
-            left = mv[c]
-            right = mi[jc]
-            if left >= 0 and right >= 0 and left != right:
-                return False
-    # (ai)j = a(ij)
-    for a in range(k):
-        ma = mul[a]
-        ai = ma[i]
-        if ai >= 0:
-            left = mul[ai][j]
-            right = ma[v]
-            if left >= 0 and right >= 0 and left != right:
-                return False
-    # (ab)j = a(bj) with ab = i: the left side is v
-    for a in range(k):
-        ma = mul[a]
-        for b in range(k):
-            if ma[b] == i:
-                bj = mul[b][j]
-                if bj >= 0:
-                    right = ma[bj]
-                    if right >= 0 and right != v:
-                        return False
-    # (ib)c = i(bc) with bc = j: the right side is v
-    for b in range(k):
-        ib = mi[b]
-        if ib >= 0:
-            mb = mul[b]
-            mib = mul[ib]
-            for c in range(k):
-                if mb[c] == j:
-                    left = mib[c]
-                    if left >= 0 and left != v:
-                        return False
-    # i(b + c) = ib + ic
-    for b in range(k):
-        ib = mi[b]
-        if ib >= 0:
-            addb = add[b]
-            addib = add[ib]
-            for c in range(k):
-                ic = mi[c]
-                if ic >= 0:
-                    lhs = mi[addb[c]]
-                    if lhs >= 0 and lhs != addib[ic]:
-                        return False
-    # (a + b)j = aj + bj
-    col = [mul[x][j] for x in range(k)]
-    for a in range(k):
-        aj = col[a]
-        if aj >= 0:
-            adda = add[a]
-            addaj = add[aj]
-            for b in range(k):
-                bj = col[b]
-                if bj >= 0:
-                    lhs = col[adda[b]]
-                    if lhs >= 0 and lhs != addaj[bj]:
-                        return False
-    return True
+def _join_endomorphisms(add) -> np.ndarray:
+    """E(L): every map f of the carrier of L = (S, +) with
+    f(x + y) = f(x) + f(y), one per row, in ascending lexicographic order."""
+    k = len(add)
+    maps = np.indices((k,) * k, dtype=np.int8).reshape(k, -1).T
+    keep = np.ones(len(maps), dtype=bool)
+    for x in range(k):
+        for y in range(x + 1, k):
+            keep &= maps[:, add[x, y]] == add[maps[:, x], maps[:, y]]
+    return maps[keep].astype(np.int64)
 
 
 def census_mul_tables(add) -> np.ndarray:
     """All multiplication tables completing ``add`` to an ai-semiring.
 
-    Returns an (n, k*k) array of row-major tables in ascending order. The
-    search fills cells row-major, trying values in ascending order, and
-    after each assignment checks only the associativity/distributivity
-    instances that read the new cell (``_compatible_at``): every other
-    instance whose cells are all set was checked when its last cell was
-    set. So each returned table passes the full axiom check.
+    Returns an (n, k*k) int64 array of row-major tables in ascending order.
+
+    Left distributivity a(b + c) = ab + ac says that row a of ``mul``,
+    L_a: x -> ax, is a join-endomorphism of L = (S, +), so the search
+    chooses whole rows from E(L). The other axioms are equations between
+    rows: right distributivity is L_(a+b) = L_a + L_b (pointwise join) and
+    associativity is L_(ab) = L_a L_b (composition). E(L) is closed under
+    both, which are tabled over indices into E(L).
+
+    Rows are set in the order k-1, ..., 0. Setting row a checks every
+    instance whose operands are a and a row already set: a target row that
+    is set must agree, an unset one is forced to the value, and a second,
+    different forced value prunes. A row that is not forced tries only the
+    members of E(L) that pass, in one mask, the instances with a set row
+    whose target is set, forced or the row itself. Every instance is checked
+    once its operands and target are all set, so each table is valid.
     """
+    add = np.asarray(add, dtype=np.int64)
     k = len(add)
-    add = [[int(v) for v in row] for row in add]
-    ncells = k * k
-    mul = [[-1] * k for _ in range(k)]
-    cand = [-1] * ncells
+    ends = _join_endomorphisms(add)
+    n = len(ends)
+    # join[e][f] and comp[e][f] are the indices of e + f and of e after f; a
+    # map is found by its base-k digits, one row of each table at a time
+    digits = k ** np.arange(k - 1, -1, -1)
+    index = np.zeros(k ** k, dtype=np.int64)
+    index[ends @ digits] = np.arange(n)
+    join = np.empty((n, n), dtype=np.int32)
+    comp = np.empty((n, n), dtype=np.int32)
+    for e, f in enumerate(ends):
+        join[e] = index[add[f, ends] @ digits]
+        comp[e] = index[f[ends] @ digits]
+    everything = np.arange(n)
+    add_l, ends_l, join_l, comp_l = add.tolist(), ends.tolist(), join.tolist(), comp.tolist()
+
+    order = range(k - 1, -1, -1)
+    row = [-1] * k  # index into E(L) of each set row, -1 when unset
+    forced = [-1] * k  # the value an unset row is forced to, -1 when free
+    undo = [[] for _ in range(k)]  # the rows each depth forced
+    cands = [list(range(n))] + [None] * (k - 1)
+    pos = [0] * k
     results = []
     depth = 0
     while depth >= 0:
-        i, j = divmod(depth, k)
-        cand[depth] += 1
-        if cand[depth] >= k:
-            cand[depth] = -1
-            mul[i][j] = -1
+        a = order[depth]
+        if row[a] >= 0:
+            row[a] = -1
+            for t in undo[depth]:
+                forced[t] = -1
+            undo[depth].clear()
+        if pos[depth] == len(cands[depth]):
             depth -= 1
             continue
-        mul[i][j] = cand[depth]
-        if not _compatible_at(add, mul, k, i, j):
+        e = cands[depth][pos[depth]]
+        pos[depth] += 1
+        row[a] = e
+        ok = True
+        for b in order[: depth + 1]:
+            f = row[b]
+            # row a + b is e + f, row ab is e after f, row ba is f after e
+            for t, v in ((add_l[a][b], join_l[e][f]), (ends_l[e][b], comp_l[e][f]),
+                         (ends_l[f][a], comp_l[f][e])):
+                have = row[t] if row[t] >= 0 else forced[t]
+                if have < 0:
+                    forced[t] = v
+                    undo[depth].append(t)
+                elif have != v:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
             continue
-        if depth == ncells - 1:
-            results.append([v for row in mul for v in row])
+        if depth == k - 1:
+            results.append(row.copy())
             continue
         depth += 1
-    if not results:
-        return np.empty((0, ncells), np.int64)
-    return np.array(results, dtype=np.int64)
+        a = order[depth]
+        pos[depth] = 0
+        if forced[a] >= 0:
+            cands[depth] = [forced[a]]
+            continue
+        mask = np.ones(n, dtype=bool)
+        for c in order[:depth]:
+            f = row[c]
+            for t, values in ((add_l[a][c], join[f]), (ends_l[f][a], comp[f])):
+                if t == a:
+                    mask &= values == everything
+                else:
+                    have = row[t] if row[t] >= 0 else forced[t]
+                    if have >= 0:
+                        mask &= values == have
+        cands[depth] = np.flatnonzero(mask).tolist()
+    rows = np.array(results, dtype=np.int64).reshape(-1, k)
+    tables = ends[rows].reshape(-1, k * k)
+    return tables[np.lexsort(tables.T[::-1])]
 
 
 # ---------------------------------------------------------------------------

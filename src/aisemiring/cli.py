@@ -132,7 +132,7 @@ def _parse_labels(S: FiniteAiSemiring, text: str) -> list[int]:
     try:
         return [S.index(x.strip()) for x in text.split(",") if x.strip()]
     except KeyError as exc:
-        raise _usage(str(exc)) from None
+        raise _usage(exc.args[0]) from None
 
 
 def _parse_blocks(S: FiniteAiSemiring, text: str) -> Partition:

@@ -194,6 +194,15 @@ class TestStructureCommands:
         code, _, err = run(capsys, "subalgebra", "S4_124", "--subset", "3,4")
         assert code == 1 and "not closed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("subalgebra", "S2", "--subset", "1,9"),
+        ("quotient", "S2", "--blocks", "1,9"),
+    ])
+    def test_unknown_label_is_one_plain_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: S2 has no element labelled '9'\n"
+
     def test_iso_found_and_not_found(self, capsys):
         code, out, _ = run(capsys, "iso", "S2", "S2")
         assert code == 0 and "isomorphic" in out

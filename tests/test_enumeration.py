@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import math
 
@@ -65,9 +67,9 @@ def _relabel(table, sigma):
 
 
 def full_recheck_census(add):
-    """Reference backtrack: the census search as it was before the check
-    became incremental. After every cell it re-checks every associativity
-    and distributivity instance whose cells are all set."""
+    """Reference backtrack, cell by cell: it fills cells row-major and after
+    every cell re-checks every associativity and distributivity instance
+    whose cells are all set."""
     k = len(add)
     add = [[int(v) for v in row] for row in add]
 
@@ -111,6 +113,28 @@ def full_recheck_census(add):
     return np.array(results, dtype=np.int64).reshape(-1, k * k)
 
 
+def join_table(leq, k):
+    """Join table of a partial order on 0..k-1 that is a join-semilattice:
+    a + b is the upper bound of a and b that lies below every other one."""
+    table = np.empty((k, k), np.int64)
+    for a, b in itertools.product(range(k), repeat=2):
+        ubs = [c for c in range(k) if leq(a, c) and leq(b, c)]
+        table[a, b] = next(c for c in ubs if all(leq(c, d) for d in ubs))
+    return table
+
+
+#: three order-5 semilattices (element 0 is the top), with their number of
+#: raw multiplication tables and the SHA-256 of the census array
+ORDER5 = {
+    "flat": (lambda a, b: a == b or b == 0, 3630,
+             "237b58f6e66b27a328b1866796587c54babedeb03d01c9ad97d19cffa1ca6c89"),
+    "coatom3": (lambda a, b: a == b or b == 0 or (b == 1 and a >= 2), 1622,
+                "3731ffe4b844170545f0145c8f1f146c1e568c1ffd7aa7d0c599be9a09d32619"),
+    "chain": (lambda a, b: a >= b, 3852,
+              "d99883f465f446e5a372a4c8a21bfa0109ff0579afee496f85ea7f36799ab5f9"),
+}
+
+
 def automorphism_count(*tables):
     """Number of carrier permutations fixing every one of ``tables``."""
     tables = [np.asarray(t).tolist() for t in tables]
@@ -124,11 +148,34 @@ def automorphism_count(*tables):
 class TestCensus:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_incremental_check_matches_full_recheck(self, k):
-        # same nodes visited, so the same rows in the same order
+        # both searches return every valid table once, in ascending
+        # row-major order, though they visit different nodes
         for add in enumerate_semilattices(k):
             ours = _kernels.census_mul_tables(add)
             assert ours.dtype == np.int64
             assert np.array_equal(ours, full_recheck_census(add))
+
+    @pytest.mark.parametrize("shape", ORDER5)
+    def test_order_5_raw_tables_are_pinned(self, shape):
+        leq, count, digest = ORDER5[shape]
+        add = _kernels.unpack_table(_kernels.canonical_table(join_table(leq, 5)), 5)
+        muls = _kernels.census_mul_tables(add)
+        assert muls.dtype == np.int64 and muls.shape == (count, 25)
+        assert all(tables_valid(add, mul.reshape(5, 5)) for mul in muls)
+        assert hashlib.sha256(muls.tobytes()).hexdigest() == digest
+
+    def test_census_leaves_no_reference_cycles(self):
+        # a cycle would keep the search's tables alive until a full
+        # collection, which raises the peak memory of a census
+        adds = enumerate_semilattices(4)
+        gc.collect()
+        gc.disable()
+        try:
+            for add in adds:
+                _kernels.census_mul_tables(add)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("k,labelled", [(1, 1), (2, 12), (3, 354), (4, 20020)])
     def test_orbit_counting(self, k, labelled):
@@ -169,9 +216,9 @@ class TestCensus:
                     naive.append(mul_cells)
                     expected.add(_kernels.canonical_pair(add, mul))
             muls = _kernels.census_mul_tables(add)
-            # product() yields each table once in ascending order, and so does
-            # the row-major ascending search: every valid raw table is found
-            # exactly once, in that order
+            # product() yields each table once in ascending order, and the
+            # census returns its tables in ascending row-major order: every
+            # valid raw table is found exactly once, in that order
             assert [tuple(int(v) for v in row) for row in muls] == naive
             assert set(_kernels.canonical_pairs(add, muls)) == expected
 
