@@ -110,7 +110,7 @@ def first_violation(add, mul, term_a, term_b, nvars, mode) -> int:
 # ---------------------------------------------------------------------------
 # multiplication-table census
 
-def _join_endomorphisms(add) -> np.ndarray:
+def join_endomorphisms(add) -> np.ndarray:
     """E(L): every map f of the carrier of L = (S, +) with
     f(x + y) = f(x) + f(y), one per row, in ascending lexicographic order."""
     k = len(add)
@@ -144,7 +144,7 @@ def census_mul_tables(add) -> np.ndarray:
     """
     add = np.asarray(add, dtype=np.int64)
     k = len(add)
-    ends = _join_endomorphisms(add)
+    ends = join_endomorphisms(add)
     n = len(ends)
     # join[e][f] and comp[e][f] are the indices of e + f and of e after f; a
     # map is found by its base-k digits, one row of each table at a time
@@ -157,7 +157,10 @@ def census_mul_tables(add) -> np.ndarray:
         join[e] = index[add[f, ends] @ digits]
         comp[e] = index[f[ends] @ digits]
     everything = np.arange(n)
-    add_l, ends_l, join_l, comp_l = add.tolist(), ends.tolist(), join.tolist(), comp.tolist()
+    # the n x n tables are read a row at a time through memoryviews, which
+    # box only the values read, where lists would box all n * n
+    add_l, ends_l = add.tolist(), ends.tolist()
+    join_rows, comp_rows = list(map(memoryview, join)), list(map(memoryview, comp))
 
     order = range(k - 1, -1, -1)
     row = [-1] * k  # index into E(L) of each set row, -1 when unset
@@ -180,20 +183,43 @@ def census_mul_tables(add) -> np.ndarray:
         e = cands[depth][pos[depth]]
         pos[depth] += 1
         row[a] = e
+        # every instance pairs row a with a set row b: row a + b is e + f,
+        # row ab is e after f and row ba is f after e; each names a target
+        # row t that must take the value v
+        add_a, end_e, join_e, comp_e = add_l[a], ends_l[e], join_rows[e], comp_rows[e]
+        forcing = undo[depth]
         ok = True
         for b in order[: depth + 1]:
             f = row[b]
-            # row a + b is e + f, row ab is e after f, row ba is f after e
-            for t, v in ((add_l[a][b], join_l[e][f]), (ends_l[e][b], comp_l[e][f]),
-                         (ends_l[f][a], comp_l[f][e])):
-                have = row[t] if row[t] >= 0 else forced[t]
-                if have < 0:
-                    forced[t] = v
-                    undo[depth].append(t)
-                elif have != v:
-                    ok = False
-                    break
-            if not ok:
+            t, v = add_a[b], join_e[f]
+            have = row[t]
+            if have < 0:
+                have = forced[t]
+            if have < 0:
+                forced[t] = v
+                forcing.append(t)
+            elif have != v:
+                ok = False
+                break
+            t, v = end_e[b], comp_e[f]
+            have = row[t]
+            if have < 0:
+                have = forced[t]
+            if have < 0:
+                forced[t] = v
+                forcing.append(t)
+            elif have != v:
+                ok = False
+                break
+            t, v = ends_l[f][a], comp_rows[f][e]
+            have = row[t]
+            if have < 0:
+                have = forced[t]
+            if have < 0:
+                forced[t] = v
+                forcing.append(t)
+            elif have != v:
+                ok = False
                 break
         if not ok:
             continue

@@ -1,8 +1,17 @@
 """Census of semilattices and ai-semirings up to isomorphism, of order at
 most MAX_CENSUS_ORDER.
 
-Generation fixes the addition table to a canonical semilattice L and
-backtracks over multiplication tables (the hot loop lives in
+Semilattices are grown one order at a time. A minimal element m of a
+semilattice of order j is the join of no two other elements, so removing it
+leaves a semilattice L of order j - 1, and m's joins x -> m + x form a
+join-endomorphism of L. So every semilattice of order j is some L of order
+j - 1 bordered by a new element whose row and column are a member of E(L),
+the join-endomorphisms of L; the borders that are semilattices are kept and
+deduplicated by canonical form (orderly generation, as in Heitzig and
+Reinhold, *Counting finite lattices*, Algebra Universalis 48, 2002).
+
+The ai-semiring census fixes the addition table to a canonical semilattice L
+and backtracks over multiplication tables (the hot loop lives in
 :mod:`aisemiring._kernels`); residual symmetry is removed by taking the
 least relabelling of (add, mul) over Aut(L). Class names and ordering
 follow the canonical forms, not any external numbering.
@@ -24,29 +33,25 @@ MAX_CENSUS_ORDER = 4
 
 def enumerate_semilattices(k: int) -> list[np.ndarray]:
     """All commutative idempotent associative tables on k elements up to
-    isomorphism, each in its canonical labelling."""
+    isomorphism, each in its canonical labelling, in ascending order."""
     if not 1 <= k <= MAX_CENSUS_ORDER:
         raise ValueError(f"semilattice census supports orders 1..{MAX_CENSUS_ORDER}")
-    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    table = np.arange(k, dtype=np.int64)[:, None].repeat(k, axis=1)
-    for i in range(k):
-        table[i, i] = i
-    found: set[bytes] = set()
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            # a symmetric idempotent table t is a semilattice exactly when
-            # (t, t) is an ai-semiring
-            if tables_valid(table, table):
-                found.add(_kernels.canonical_table(table))
-            return
-        i, j = cells[idx]
-        for v in range(k):
-            table[i, j] = table[j, i] = v
-            fill(idx + 1)
-
-    fill(0)
-    return [_kernels.unpack_table(f, k) for f in sorted(found)]
+    tables = [np.zeros((1, 1), dtype=np.int64)]
+    for j in range(2, k + 1):
+        found: set[bytes] = set()
+        for L in tables:
+            # border L with a new element j-1 whose joins x -> (j-1) + x
+            # are f; a symmetric idempotent table t is a semilattice exactly
+            # when (t, t) is an ai-semiring
+            table = np.empty((j, j), dtype=np.int64)
+            table[:-1, :-1] = L
+            table[-1, -1] = j - 1
+            for f in _kernels.join_endomorphisms(L):
+                table[-1, :-1] = table[:-1, -1] = f
+                if tables_valid(table, table):
+                    found.add(_kernels.canonical_table(table))
+        tables = [_kernels.unpack_table(form, j) for form in sorted(found)]
+    return tables
 
 
 def enumerate_ai_semirings(k: int) -> list[FiniteAiSemiring]:
