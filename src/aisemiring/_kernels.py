@@ -3,14 +3,15 @@ census and canonical forms.
 
 The workbench spends almost all of its runtime in two inner loops: scanning
 every variable assignment of a finite algebra (satisfaction checks) and
-backtracking over multiplication tables (the census). The census is a
-pure-Python backtrack over whole rows of the table: each row is a
-join-endomorphism of the additive semilattice, chosen by index from the
-precomputed set of them, whose joins and compositions are tabled, so
-setting a row checks right distributivity and associativity as row
-equations and forces the rows they name. Canonical forms come from one
-least-relabelling search over carrier permutations, which also returns the
-permutations reaching the least table (for a canonical one, its automorphisms).
+searching multiplication tables (the census). The census is a level-wise
+numpy search over whole rows of the table: each row is a join-endomorphism
+of the additive semilattice, chosen by index from the precomputed set of
+them, whose joins and compositions are tabled, so setting a row checks
+right distributivity and associativity as row equations and forces the
+rows they name, for a whole block of partial tables at once. Canonical
+forms come from one least-relabelling search over carrier permutations,
+which also returns the permutations reaching the least table (for a
+canonical one, its automorphisms).
 
 The scan is a broadcast over a k x ... x k grid with one axis per variable.
 Each word is evaluated once, over the axes of its own variables only, as a
@@ -53,7 +54,7 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 # assignment scans
 
-#: most cells one slab of the scan broadcasts over
+#: most cells one slab of the scan broadcasts over, and one census mask holds
 SLAB_CELLS = 1 << 15
 
 
@@ -134,118 +135,102 @@ def census_mul_tables(add) -> np.ndarray:
     associativity is L_(ab) = L_a L_b (composition). E(L) is closed under
     both, which are tabled over indices into E(L).
 
-    Rows are set in the order k-1, ..., 0. Setting row a checks every
-    instance whose operands are a and a row already set: a target row that
-    is set must agree, an unset one is forced to the value, and a second,
-    different forced value prunes. A row that is not forced tries only the
-    members of E(L) that pass, in one mask, the instances with a set row
-    whose target is set, forced or the row itself. Every instance is checked
-    once its operands and target are all set, so each table is valid.
+    The search is level-wise: a state is a partial table, and a block of
+    states is extended by one row at a time, in the order k-1, ..., 0, with
+    numpy operations over the whole block. A state whose next row a is
+    forced takes the forced value; a free one tries the members of E(L)
+    that pass, in one mask, the instances a + c and ca with a set row c
+    whose target is known or row a itself. Then every instance pairing row a
+    with a set row b (a + b, ab, ba, in that order) is checked: a target row
+    that is set or forced must agree, an unknown one is forced to the value,
+    and a state that disagrees is dropped. Every instance is checked once
+    its operands and target are all set, so each table is valid.
+
+    Blocks are taken depth-first from a stack, so the live states stay
+    bounded: a mask holds at most SLAB_CELLS cells (or one state's, when
+    E(L) is larger), and a block fewer than twice as many states.
     """
     add = np.asarray(add, dtype=np.int64)
     k = len(add)
     ends = join_endomorphisms(add)
     n = len(ends)
     # join[e][f] and comp[e][f] are the indices of e + f and of e after f; a
-    # map is found by its base-k digits, one row of each table at a time
+    # map is found by its base-k digits, one row of each table at a time.
+    # Row n of both is -1, the row a mask reads for a target not yet known.
     digits = k ** np.arange(k - 1, -1, -1)
     index = np.zeros(k ** k, dtype=np.int64)
     index[ends @ digits] = np.arange(n)
-    join = np.empty((n, n), dtype=np.int32)
-    comp = np.empty((n, n), dtype=np.int32)
+    tabs = np.full((2, n + 1, n), -1, dtype=np.int32)
+    join, comp = tabs[0, :n], tabs[1, :n]
     for e, f in enumerate(ends):
         join[e] = index[add[f, ends] @ digits]
         comp[e] = index[f[ends] @ digits]
-    everything = np.arange(n)
-    # the n x n tables are read a row at a time through memoryviews, which
-    # box only the values read, where lists would box all n * n
-    add_l, ends_l = add.tolist(), ends.tolist()
-    join_rows, comp_rows = list(map(memoryview, join)), list(map(memoryview, comp))
-
+    join_flat, comp_flat = join.ravel(), comp.ravel()
+    images = ends.T.astype(np.int32)  # images[x][e] is e(x)
+    everything = np.arange(n, dtype=np.int32)
     order = range(k - 1, -1, -1)
-    row = [-1] * k  # index into E(L) of each set row, -1 when unset
-    forced = [-1] * k  # the value an unset row is forced to, -1 when free
-    undo = [[] for _ in range(k)]  # the rows each depth forced
-    cands = [list(range(n))] + [None] * (k - 1)
-    pos = [0] * k
-    results = []
-    depth = 0
-    while depth >= 0:
-        a = order[depth]
-        if row[a] >= 0:
-            row[a] = -1
-            for t in undo[depth]:
-                forced[t] = -1
-            undo[depth].clear()
-        if pos[depth] == len(cands[depth]):
-            depth -= 1
+    per_mask = max(1, SLAB_CELLS // n)
+    # entry a of a state is its row a when set, else the value row a is
+    # forced to, else -1; the first `depth` rows of `order` are set
+    stack = [(0, np.full((1, k), -1, dtype=np.int32))]
+    found = []
+    while stack:
+        depth, rows = stack.pop()
+        if depth == k:
+            found.append(rows)
             continue
-        e = cands[depth][pos[depth]]
-        pos[depth] += 1
-        row[a] = e
-        # every instance pairs row a with a set row b: row a + b is e + f,
-        # row ab is e after f and row ba is f after e; each names a target
-        # row t that must take the value v
-        add_a, end_e, join_e, comp_e = add_l[a], ends_l[e], join_rows[e], comp_rows[e]
-        forcing = undo[depth]
-        ok = True
+        a = order[depth]
+        # forced states take their value; free ones are extended per_mask at
+        # a time until SLAB_CELLS states are made, and the rest go back on
+        # the stack under them
+        free = rows[:, a] < 0
+        block, rows = [rows[~free]], rows[free]
+        size = len(block[0])
+        while len(rows) and size < SLAB_CELLS:
+            part, rows = rows[:per_mask], rows[per_mask:]
+            at = np.arange(len(part))
+            mask = np.ones((len(part), n), dtype=bool)
+            for c in order[:depth]:
+                f = part[:, c]
+                for t, tab in ((add[a, c], tabs[0]), (images[a][f], tabs[1])):
+                    # a target that is row a itself asks for a fixed point
+                    own = t == a
+                    have = part[at, t]
+                    want = have[:, None]
+                    if own.any():
+                        want = np.where(own[..., None], everything, want)
+                    mask &= tab[np.where(own | (have >= 0), f, n)] == want
+            s, e = np.nonzero(mask)
+            part = part[s]
+            part[:, a] = e
+            block.append(part)
+            size += len(part)
+        if len(rows):
+            stack.append((depth, rows))
+        rows = np.concatenate(block)
         for b in order[: depth + 1]:
-            f = row[b]
-            t, v = add_a[b], join_e[f]
-            have = row[t]
-            if have < 0:
-                have = forced[t]
-            if have < 0:
-                forced[t] = v
-                forcing.append(t)
-            elif have != v:
-                ok = False
-                break
-            t, v = end_e[b], comp_e[f]
-            have = row[t]
-            if have < 0:
-                have = forced[t]
-            if have < 0:
-                forced[t] = v
-                forcing.append(t)
-            elif have != v:
-                ok = False
-                break
-            t, v = ends_l[f][a], comp_rows[f][e]
-            have = row[t]
-            if have < 0:
-                have = forced[t]
-            if have < 0:
-                forced[t] = v
-                forcing.append(t)
-            elif have != v:
-                ok = False
-                break
-        if not ok:
-            continue
-        if depth == k - 1:
-            results.append(row.copy())
-            continue
-        depth += 1
-        a = order[depth]
-        pos[depth] = 0
-        if forced[a] >= 0:
-            cands[depth] = [forced[a]]
-            continue
-        mask = np.ones(n, dtype=bool)
-        for c in order[:depth]:
-            f = row[c]
-            for t, values in ((add_l[a][c], join[f]), (ends_l[f][a], comp[f])):
-                if t == a:
-                    mask &= values == everything
-                else:
-                    have = row[t] if row[t] >= 0 else forced[t]
-                    if have >= 0:
-                        mask &= values == have
-        cands[depth] = np.flatnonzero(mask).tolist()
-    rows = np.array(results, dtype=np.int64).reshape(-1, k)
-    tables = ends[rows].reshape(-1, k * k)
-    return tables[np.lexsort(tables.T[::-1])]
+            # row a + b is e + f, row ab is e after f and row ba is f after
+            # e, each with a target row t; for b = a, a + a is row a itself
+            # and ab = ba
+            e, f = rows[:, a], rows[:, b]
+            ef = e * n + f
+            insts = ((images[b][e], comp_flat[ef]),) if b == a else (
+                (add[a, b], join_flat[ef]), (images[b][e], comp_flat[ef]),
+                (images[a][f], comp_flat[f * n + e]))
+            cells = rows.ravel()
+            at = np.arange(0, cells.size, k)
+            ok = True
+            for t, v in insts:
+                have = cells[at + t]
+                new = np.where(have < 0, v, have)
+                ok &= new == v
+                cells[at + t] = new
+            if not ok.all():
+                rows = rows[ok]
+        stack.extend((depth + 1, rows[i:i + SLAB_CELLS]) for i in range(0, len(rows), SLAB_CELLS))
+    # E(L) is in ascending order, so sorting by row indices sorts the tables
+    rows = np.concatenate(found)
+    return ends[rows[np.lexsort(rows.T[::-1])]].reshape(-1, k * k)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ deduplicated by canonical form (orderly generation, as in Heitzig and
 Reinhold, *Counting finite lattices*, Algebra Universalis 48, 2002).
 
 The ai-semiring census fixes the addition table to a canonical semilattice L
-and backtracks over multiplication tables (the hot loop lives in
-:mod:`aisemiring._kernels`); residual symmetry is removed by taking the
-least relabelling of (add, mul) over Aut(L). Class names and ordering
-follow the canonical forms, not any external numbering.
+and searches its multiplication tables row by row over E(L) (the hot
+loop lives in :mod:`aisemiring._kernels`); residual symmetry is removed by
+taking the least relabelling of (add, mul) over Aut(L). Class names and
+ordering follow the canonical forms, not any external numbering.
 """
 
 from __future__ import annotations

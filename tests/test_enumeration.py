@@ -188,6 +188,37 @@ class TestCensus:
         assert all(tables_valid(add, mul.reshape(5, 5)) for mul in muls)
         assert hashlib.sha256(muls.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_block_boundaries_leave_the_tables_unchanged(self, cells, monkeypatch):
+        # with one or a few states per block, every state crosses a block
+        # boundary somewhere in the search
+        lattices = [add for k in range(1, 5) for add in enumerate_semilattices(k)]
+        leq, _, digest = ORDER5["coatom3"]
+        coatom3 = _kernels.unpack_table(_kernels.canonical_table(join_table(leq, 5)), 5)
+        monkeypatch.setattr(_kernels, "SLAB_CELLS", cells)
+        for add in lattices:
+            assert np.array_equal(_kernels.census_mul_tables(add), full_recheck_census(add))
+        muls = _kernels.census_mul_tables(coatom3)
+        assert hashlib.sha256(muls.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape,classes", [("flat", 215), ("coatom3", 348)])
+    def test_order_5_tables_are_closed_under_aut_l(self, shape, classes):
+        # an isomorphism between two ai-semirings on L is an automorphism of
+        # L, so the raw tables are a union of Aut(L)-orbits, one per class;
+        # Burnside counts the orbits from the tables each automorphism fixes
+        leq = ORDER5[shape][0]
+        add = _kernels.unpack_table(_kernels.canonical_table(join_table(leq, 5)), 5)
+        muls = _kernels.census_mul_tables(add).reshape(-1, 5, 5)
+        _, perms, invs = _kernels._least_relabelling(add)
+        fixed = 0
+        for perm, inv in zip(perms, invs):
+            assert np.array_equal(perm[add[np.ix_(inv, inv)]], add)
+            moved = perm[muls[:, inv[:, None], inv[None, :]]]
+            assert np.array_equal(np.unique(moved.reshape(-1, 25), axis=0), muls.reshape(-1, 25))
+            fixed += int(np.all(moved == muls, axis=(1, 2)).sum())
+        assert fixed == classes * len(perms)
+        assert len(set(_kernels.canonical_pairs(add, muls))) == classes
+
     def test_census_leaves_no_reference_cycles(self):
         # a cycle would keep the search's tables alive until a full
         # collection, which raises the peak memory of a census
