@@ -17,18 +17,17 @@ The scan is a broadcast over a k x ... x k grid with one axis per variable.
 Each word is evaluated once, over the axes of its own variables only, as a
 small array of k^|vars(word)| cells gathered from the ``mul`` table; numpy
 broadcasting then folds the words of a term together through the ``add``
-table. The grid is cut into slabs: the leading variables are fixed to the
-digits of a slab number as Python ints, and the broadcast runs over the
-trailing axes, at most SLAB_CELLS cells, so memory stays bounded whatever
-the number of variables. In C order the flat index of a grid cell puts the
-first variable in the most significant digit, which is the assignment index
-below, so the first failing cell is the lexicographically least
-counterexample.
+table. The grid is cut into slabs: the leading variables are fixed to a
+prefix of digits as Python ints, prefixes taken in lexicographic order, and
+the broadcast runs over the trailing axes, at most SLAB_CELLS cells, so
+memory stays bounded whatever the number of variables. Cells are searched
+in C order, so the first failing cell is the lexicographically least
+counterexample; the scan returns it with the values of both sides there.
 
 Table/assignment conventions:
-  * assignment index i enumerates variables in a fixed order, first
-    variable in the most significant base-k digit, so ascending index is
-    ascending lexicographic order of assignment tuples;
+  * an assignment is a tuple of digits in range(k), one per variable in a
+    fixed order, the first variable's digit first; the scan visits them in
+    ascending lexicographic order;
   * a compiled term is a tuple of words, each word a tuple of variable
     positions (ints), multiplied left to right; the words are summed left
     to right;
@@ -82,30 +81,26 @@ def _eval_term(add, mul, term, operands):
     return acc
 
 
-def first_violation(add, mul, term_a, term_b, nvars, mode) -> int:
-    """Index of the first assignment violating the check, or -1 when none
-    does."""
+def first_violation(add, mul, term_a, term_b, nvars, mode):
+    """The least assignment violating the check, as (digits, value_a,
+    value_b), or None when every assignment passes."""
     k = add.shape[0]
     r = nvars
     while k ** r > SLAB_CELLS:
         r -= 1
-    lead = nvars - r
-    cells = k ** r
+    shape = (k,) * r
     axes = _axes(k, r)
-    for slab in range(k ** lead):
-        digits = []
-        prefix = slab
-        for _ in range(lead):
-            prefix, d = divmod(prefix, k)
-            digits.append(d)
-        operands = digits[::-1]
-        operands.extend(axes)
+    for prefix in itertools.product(range(k), repeat=nvars - r):
+        operands = [*prefix, *axes]
         va = _eval_term(add, mul, term_a, operands)
         vb = _eval_term(add, mul, term_b, operands)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
-            return slab * cells + int(np.argmin(np.broadcast_to(ok, (k,) * r)))
-    return -1
+            cell = np.unravel_index(np.argmin(np.broadcast_to(ok, shape)), shape)
+            digits = prefix + tuple(map(int, cell))
+            return (digits, int(_eval_term(add, mul, term_a, digits)),
+                    int(_eval_term(add, mul, term_b, digits)))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +231,13 @@ def census_mul_tables(add) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical forms under carrier permutation
 
+@functools.cache
 def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) in lexicographic order, one per row,
+    and their inverses. Shared, so read-only."""
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    invs = np.empty_like(perms)
-    for p in range(perms.shape[0]):
-        invs[p, perms[p]] = np.arange(k)
+    invs = np.argsort(perms, axis=1)
+    perms.flags.writeable = invs.flags.writeable = False
     return perms, invs
 
 

@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="test the cycle-family inequality")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--nmax", type=_positive_int, default=3)
+    p.add_argument("--nmax", type=_positive_int, default=MAX_N_WITHOUT_FORCE)
     p.add_argument("--force", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)

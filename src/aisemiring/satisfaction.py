@@ -1,8 +1,10 @@
 """Deciding identities and inequalities in finite ai-semirings.
 
-Brute force enumerates every assignment of algebra elements to variables
-(through the compiled kernels in :mod:`aisemiring._kernels`), reporting the
-lexicographically least counterexample when one exists. Alongside it live
+Brute force enumerates every assignment of algebra elements to variables,
+in lexicographic order of the sorted variables, through the scan in
+:mod:`aisemiring._kernels`, which returns the least counterexample with the
+values of both sides there when one exists. ``evaluate`` is a separate,
+plain evaluator of one assignment, off the verdict path. Alongside it live
 the three syntactic deciders characterizing satisfaction in the reference
 algebras S2, S7, and S53; the test suite certifies each against the brute
 force on its algebra.
@@ -10,6 +12,7 @@ force on its algebra.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _kernels
@@ -68,17 +71,9 @@ def evaluate(item: Word | Term, S: FiniteAiSemiring, a: Assignment) -> int:
     return acc
 
 
-def _compiled(t: Term, var_index: dict[Variable, int]) -> tuple[tuple[int, ...], ...]:
-    """The words of t as tuples of variable positions (see _kernels)."""
-    return tuple(tuple(var_index[x] for x in w.letters) for w in t.words)
-
-
-def _assignment_from_index(idx: int, variables: list[Variable], k: int) -> Assignment:
-    digits: list[int] = []
-    for _ in variables:
-        digits.append(idx % k)
-        idx //= k
-    return dict(zip(variables, reversed(digits)))
+def _compiled(words: Iterable[Word], var_index: dict[Variable, int]) -> tuple[tuple[int, ...], ...]:
+    """The words as tuples of variable positions (see _kernels)."""
+    return tuple(tuple(var_index[x] for x in w.letters) for w in words)
 
 
 def _guard(k: int, nvars: int, force: bool) -> None:
@@ -89,17 +84,23 @@ def _guard(k: int, nvars: int, force: bool) -> None:
         )
 
 
-def _first_failing_assignment(S: FiniteAiSemiring, a: Term, b: Term,
-                              mode: int, force: bool) -> Assignment | None:
-    """The least assignment failing the check of a against b (see _kernels
-    for the modes), or None when every assignment passes."""
-    variables = sorted(content(a) | content(b))
+def _scan(S: FiniteAiSemiring, a: tuple[Word, ...], b: tuple[Word, ...], mode: int,
+          force: bool) -> SatisfactionVerdict:
+    """Brute force the check of the sum of the words a against that of the
+    words b (see _kernels for the modes). A counterexample is the least
+    failing assignment, its variables in sorted order; its left value is
+    b's in mode 0 (the lesser side of an inequality), else a's."""
+    variables = sorted({x for w in (*a, *b) for x in w.letters})
     _guard(S.order, len(variables), force)
     vi = {x: i for i, x in enumerate(variables)}
-    idx = _kernels.first_violation(
+    found = _kernels.first_violation(
         S.add, S.mul, _compiled(a, vi), _compiled(b, vi), len(variables), mode
     )
-    return None if idx < 0 else _assignment_from_index(idx, variables, S.order)
+    if found is None:
+        return SatisfactionVerdict(True)
+    digits, va, vb = found
+    left, right = (vb, va) if mode == 0 else (va, vb)
+    return SatisfactionVerdict(False, Counterexample(dict(zip(variables, digits)), left, right))
 
 
 def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
@@ -109,23 +110,13 @@ def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
     The inequality means u ~ u + q as an identity; a counterexample carries
     the violating assignment with both evaluated values (left = q).
     """
-    a = _first_failing_assignment(S, u, Term([q]), 0, force)
-    if a is None:
-        return SatisfactionVerdict(True)
-    return SatisfactionVerdict(
-        False, Counterexample(a, evaluate(q, S, a), evaluate(u, S, a))
-    )
+    return _scan(S, u.words, (q,), 0, force)
 
 
 def holds_identity(S: FiniteAiSemiring, u: Term, v: Term, *,
                    force: bool = False) -> SatisfactionVerdict:
     """Exhaustively decide whether u ~ v holds in S."""
-    a = _first_failing_assignment(S, u, v, 1, force)
-    if a is None:
-        return SatisfactionVerdict(True)
-    return SatisfactionVerdict(
-        False, Counterexample(a, evaluate(u, S, a), evaluate(v, S, a))
-    )
+    return _scan(S, u.words, v.words, 1, force)
 
 
 def reduce_identity(u: Term, v: Term) -> list[tuple[Word, Term]]:
@@ -161,10 +152,12 @@ def decide_s2(q: Word, u: Term) -> bool:
 
 def decide_s7(q: Word, u: Term) -> bool:
     """Word-below-term satisfaction in S7: q's variables occur in u, and
-    adjoining q preserves every delta-set of u."""
+    adjoining q preserves every delta-set of u. As content(u + q) is then
+    content(u), delta(u + q) is the Z in delta(u) that meet q in exactly
+    one letter occurrence, so that must hold for every Z in delta(u)."""
     if not content(q) <= content(u):
         return False
-    return delta(u) <= delta(u + Term([q]))
+    return all(sum(x in Z for x in q.letters) == 1 for Z in delta(u))
 
 
 def decide_s53(q: Word, u: Term) -> bool:

@@ -256,17 +256,19 @@ def check_subdirect(S: FiniteAiSemiring, theta1: Partition,
 
 
 def _restricted_growth_strings(k: int) -> Iterator[tuple[int, ...]]:
+    """Every restricted-growth string of length k >= 1 (each entry at most
+    one more than the largest before it), in lexicographic order."""
     cur = [0] * k
-
-    def rec(i: int, nblocks: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield tuple(cur)
+    while True:
+        yield tuple(cur)
+        # the last entry that can still grow is raised, and the tail zeroed
+        i = k - 1
+        while i > 0 and cur[i] > max(cur[:i]):
+            i -= 1
+        if i == 0:
             return
-        for v in range(nblocks + 1):
-            cur[i] = v
-            yield from rec(i + 1, nblocks + 1 if v == nblocks else nblocks)
-
-    yield from rec(1, 1) if k > 0 else iter(())
+        cur[i] += 1
+        cur[i + 1:] = [0] * (k - 1 - i)
 
 
 def all_partitions(k: int) -> Iterator[Partition]:

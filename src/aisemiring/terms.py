@@ -277,37 +277,25 @@ def delta(u: Term) -> frozenset[frozenset[Variable]]:
     """
     summands = u.words
     found: set[frozenset[Variable]] = set()
-
-    def walk(i: int, state: dict[Variable, bool]) -> None:
+    # depth-first over summands; a state maps each variable decided so far
+    # to whether it is in Z
+    stack: list[tuple[int, dict[Variable, bool]]] = [(0, {})]
+    while stack:
+        i, state = stack.pop()
         if i == len(summands):
             found.add(frozenset(v for v, inz in state.items() if inz))
-            return
+            continue
         w = summands[i]
         vars_w = sorted(set(w.letters))
         chosen = [v for v in vars_w if state.get(v) is True]
         if len(chosen) > 1:
-            return
-        if len(chosen) == 1:
-            x = chosen[0]
-            if occ(x, w) != 1:
-                return
-            nxt = dict(state)
-            for v in vars_w:
-                if v != x:
-                    nxt[v] = False
-            walk(i + 1, nxt)
-            return
-        for x in vars_w:
+            continue
+        for x in chosen or vars_w:
             if state.get(x) is False or occ(x, w) != 1:
                 continue
             nxt = dict(state)
-            nxt[x] = True
-            for v in vars_w:
-                if v != x:
-                    nxt[v] = False
-            walk(i + 1, nxt)
-
-    walk(0, {})
+            nxt.update((v, v == x) for v in vars_w)
+            stack.append((i + 1, nxt))
     return frozenset(found)
 
 

@@ -1,3 +1,6 @@
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from aisemiring.algebra import registry
@@ -31,3 +34,23 @@ def S4_359():
 @pytest.fixture(scope="session")
 def R6():
     return registry("R6")
+
+
+@contextmanager
+def _no_reference_cycles():
+    # a cycle keeps what it holds alive until a full collection, which
+    # raises peak memory; with gc off, the calls in the block leave none
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def no_reference_cycles():
+    """A context manager asserting that its block leaves no cyclic garbage;
+    build its inputs before entering it."""
+    return _no_reference_cycles

@@ -15,14 +15,15 @@ from aisemiring.verify import random_inequality
 def _compile_pair(S, q, u):
     variables = sorted(content(u) | content(q))
     vi = {x: i for i, x in enumerate(variables)}
-    return _compiled(u, vi), _compiled(Term([q]), vi), len(variables)
+    return _compiled(u, vi), _compiled((q,), vi), len(variables)
 
 
 def digits_first_violation(add, mul, term_a, term_b, nvars, mode, start, stop):
     """Reference scan: the kernel as it was before the broadcast scan. Each
     chunk of 32,768 assignment indices is decoded into a matrix of base-k
     digits, first variable most significant, and every letter of every word
-    is gathered over all rows."""
+    is gathered over all rows. Returns the first failing index with the
+    values of both terms there, or None."""
     k = add.shape[0]
     strides = k ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
 
@@ -44,8 +45,18 @@ def digits_first_violation(add, mul, term_a, term_b, nvars, mode, start, stop):
         vb = evaluate(term_b, digits)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
-            return int(lo + int(np.argmin(ok)))
-    return -1
+            row = int(np.argmin(ok))
+            return lo + row, int(va[row]), int(vb[row])
+    return None
+
+
+def as_index(found, k, nvars):
+    """The kernel's (digits, value_a, value_b) with the digits as the
+    reference's flat index, first digit most significant."""
+    if found is None:
+        return None
+    digits, va, vb = found
+    return int(np.ravel_multi_index(digits, (k,) * nvars)), va, vb
 
 
 #: an order-2 ai-semiring for the scan tests (the registry has none): the
@@ -95,13 +106,14 @@ class TestScan:
         for _ in range(4):
             q, u, v = _random_check(rng, nvars)
             vi = {x: i for i, x in enumerate(sorted(content(u)))}
-            cu, cq, cv = _compiled(u, vi), _compiled(Term([q]), vi), _compiled(v, vi)
+            cu, cq, cv = _compiled(u, vi), _compiled((q,), vi), _compiled(v, vi)
             for mode, (ta, tb) in ((0, (cu, cq)), (1, (cu, cv))):
-                got = _kernels.first_violation(S.add, S.mul, ta, tb, nvars, mode)
+                got = as_index(_kernels.first_violation(S.add, S.mul, ta, tb, nvars, mode),
+                               k, nvars)
                 assert got == digits_first_violation(
                     S.add, S.mul, ta, tb, nvars, mode, 0, total
                 ), (str(q), str(u), str(v), mode)
-                past_slab0 += got == -1 or got >= cells
+                past_slab0 += got is None or got[0] >= cells
         # some check must scan beyond the first slab, or the slab loop is
         # never exercised
         assert past_slab0
@@ -117,11 +129,12 @@ class TestScan:
             cu, cq, nvars = _compile_pair(S, q, u)
             total = S.order ** nvars
             for mode in (0, 1):
-                got = _kernels.first_violation(S.add, S.mul, cu, cq, nvars, mode)
+                got = as_index(_kernels.first_violation(S.add, S.mul, cu, cq, nvars, mode),
+                               S.order, nvars)
                 assert got == digits_first_violation(
                     S.add, S.mul, cu, cq, nvars, mode, 0, total
                 )
-                outcomes.add(got >= 0)
+                outcomes.add(got is not None)
         assert outcomes == {False, True}
 
 

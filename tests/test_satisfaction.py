@@ -15,7 +15,7 @@ from aisemiring.satisfaction import (
     holds_inequality,
     reduce_identity,
 )
-from aisemiring.terms import Term, Word, parse_term, parse_word
+from aisemiring.terms import Term, Word, content, delta, parse_term, parse_word
 from aisemiring.verify import random_inequality
 
 w = parse_word
@@ -205,6 +205,29 @@ class TestDeciders:
         q, u = w("y"), t("xy + x")
         assert not decide_s7(q, u)
         assert not holds_inequality(S7, q, u).holds
+
+    def test_s7_matches_the_delta_inclusion(self):
+        # the definition as the oracle: content(q) within content(u), and
+        # every delta-set of u is still one of u + q; one draw in three
+        # makes q a summand of u already
+        rng = random.Random(7)
+        outcomes = []
+        for i in range(3000):
+            q, u = random_inequality(rng)
+            if i % 3 == 0:
+                q = rng.choice(u.words)
+            want = content(q) <= content(u) and delta(u) <= delta(u + Term([q]))
+            assert decide_s7(q, u) == want, (str(q), str(u))
+            outcomes.append((want, content(q) <= content(u)))
+        assert set(outcomes) == {(True, True), (False, True), (False, False)}
+
+    def test_s7_and_oracle_leave_no_reference_cycles(self, S7, no_reference_cycles):
+        rng = random.Random(3)
+        checks = [random_inequality(rng) for _ in range(50)]
+        with no_reference_cycles():
+            for q, u in checks:
+                decide_s7(q, u)
+                holds_inequality(S7, q, u)
 
     @pytest.mark.parametrize(
         "decider,name",

@@ -219,3 +219,19 @@ class TestCongruenceEnumeration:
     def test_partition_count_is_bell_number(self):
         assert sum(1 for _ in all_partitions(4)) == 15
         assert sum(1 for _ in all_partitions(6)) == 203
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_partitions_come_in_restricted_growth_order(self, k):
+        # each partition's restricted-growth string names every element's
+        # block by the order of first appearance; they strictly ascend
+        strings = []
+        for P in all_partitions(k):
+            first: dict[int, int] = {}
+            strings.append(tuple(first.setdefault(P.block_of[x], len(first))
+                                 for x in range(k)))
+        assert strings == sorted(set(strings))
+        assert strings[-1] == tuple(range(k))
+
+    def test_leaves_no_reference_cycles(self, S4_124, no_reference_cycles):
+        with no_reference_cycles():
+            enumerate_congruences(S4_124)

@@ -195,6 +195,12 @@ class TestDelta:
                 assert len(hits) == 1
                 assert occ(next(iter(hits)), summand) == 1
 
+    def test_leaves_no_reference_cycles(self, no_reference_cycles):
+        u = t("x1x2 + x2x3 + x3x1 + y1y2 + y2y1 + y1")
+        with no_reference_cycles():
+            for _ in range(10):
+                delta(u)
+
 
 class TestSubstitution:
     def test_homomorphic_extension(self):
