@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .algebra import (
@@ -218,6 +219,7 @@ def cmd_decide(args) -> int:
     got = decider(q, u)
     payload = {"algebra": registry_name, "inequality": f"{q} <= {print_term(u)}",
                "decider": got}
+    agrees = True
     if args.oracle:
         try:
             want = holds_inequality(registry(registry_name), q, u).holds
@@ -227,21 +229,17 @@ def cmd_decide(args) -> int:
                 f"--oracle: {budget}; decide has no --force, run "
                 f"aisemiring holds {registry_name} --ineq \"{payload['inequality']}\" --force"
             ) from None
+        agrees = got == want
         payload["oracle"] = want
-        if got != want:
-            if args.json:
-                payload["agreement"] = False
-                print(json.dumps(payload, indent=2))
-            else:
-                print(f"decider: {got}, oracle: {want} -- MISMATCH")
-            return SEMANTIC_ERROR
-        payload["agreement"] = True
+        payload["agreement"] = agrees
     if args.json:
         print(json.dumps(payload, indent=2))
+    elif not agrees:
+        print(f"decider: {got}, oracle: {want} -- MISMATCH")
     else:
         print(f"decider: {'holds' if got else 'fails'}"
               + (" (oracle agrees)" if args.oracle else ""))
-    return 0 if got else SEMANTIC_ERROR
+    return 0 if got and agrees else SEMANTIC_ERROR
 
 
 def cmd_family(args) -> int:
@@ -368,12 +366,9 @@ def cmd_enumerate(args) -> int:
         )
     body = records + "\n---\n# summary\n" + "\n".join(summary_lines) + "\n"
 
-    shown = summary_lines if args.classify else summary_lines[:1]
     if args.out:
         _write_text(args.out, body)
-        for line in shown:
-            print(line.lstrip("# "))
-    elif args.json:
+    if args.json:
         payload = {"order": args.order, "classes": len(screened)}
         if args.classify:
             payload["additive_types"] = [
@@ -382,6 +377,9 @@ def cmd_enumerate(args) -> int:
                 for t in types
             ]
         print(json.dumps(payload, indent=2))
+    elif args.out:
+        for line in summary_lines if args.classify else summary_lines[:1]:
+            print(line.lstrip("# "))
     else:
         sys.stdout.write(body)
     return 0
@@ -411,12 +409,7 @@ def cmd_derive_search(args) -> int:
     if not sigma:
         raise _usage("at least one --rule is required")
     claim = _parse_identity(args.claim)
-    bounds = SearchBounds(
-        max_chain=args.max_chain,
-        max_word_len=args.max_word_len,
-        max_summands=args.max_summands,
-        max_subst_image=args.max_subst_image,
-    )
+    bounds = SearchBounds(**{f.name: getattr(args, f.name) for f in fields(SearchBounds)})
     try:
         result = search_derivation(sigma, claim, bounds)
     except ValueError as exc:
@@ -524,10 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--rule", action="append", default=[],
                     help='identity "u = v"; repeatable')
     ps.add_argument("--claim", required=True, help='identity "u = v"')
-    ps.add_argument("--max-chain", type=int, default=6)
-    ps.add_argument("--max-word-len", type=int, default=6)
-    ps.add_argument("--max-summands", type=int, default=8)
-    ps.add_argument("--max-subst-image", type=int, default=3)
+    for f in fields(SearchBounds):
+        ps.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     ps.add_argument("--out", help="write the derivation file here")
     ps.add_argument("--stats", action="store_true",
                     help="print explored terms, pruned rewrites and frontier "

@@ -188,12 +188,13 @@ def _match_word(pattern: Letters, seg: Letters, binding: Binding,
 
 
 def _match_term(src_words: list[Letters], t_words: list[Letters], max_img: int):
-    """All (binding, left, right) with every word of src (longest first)
-    mapping into a word of t under the shared contexts. Bindings send
+    """Yield every (binding, left, right) with every word of src (longest
+    first) mapping into a word of t under the shared contexts. Bindings send
     variables to single words."""
+    # no result repeats: _match_word consumes the whole segment, so a
+    # binding fixes the image of each source word, and with the contexts
+    # its host word (left + image + right) and span
     anchor, others = src_words[0], src_words[1:]
-    results = []
-    seen = set()
     for ls in t_words:
         for i in range(len(ls)):
             for j in range(i + 1, len(ls) + 1):
@@ -212,26 +213,11 @@ def _match_term(src_words: list[Letters], t_words: list[Letters], max_img: int):
                                     continue
                                 seg = ly[len(left): len(ly) - len(right)]
                                 extended.extend(_match_word(w, seg, cand, max_img))
-                        candidates = _dedupe_bindings(extended)
+                        candidates = extended
                         if not candidates:
                             break
                     for cand in candidates:
-                        key = (tuple(sorted(cand.items())), left, right)
-                        if key not in seen:
-                            seen.add(key)
-                            results.append((cand, left, right))
-    return results
-
-
-def _dedupe_bindings(bindings):
-    seen = set()
-    out = []
-    for b in bindings:
-        key = tuple(sorted(b.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
+                        yield cand, left, right
 
 
 #: most words a rewritten image may have for every subset of it to be tried

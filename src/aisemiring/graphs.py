@@ -111,18 +111,15 @@ def find_odd_cycle(G: TermGraph) -> list[Variable] | None:
         seen.update(order)
         edge = _same_depth_edge(adj, order, depth)
         if edge is not None:
-            return _tree_cycle(parent, depth, *edge)
+            return _tree_cycle(parent, *edge)
     return None
 
 
-def _tree_cycle(parent, depth, x, y) -> list[Variable]:
-    # walk both endpoints up to their lowest common ancestor; the two tree
+def _tree_cycle(parent, x, y) -> list[Variable]:
+    # x and y have the same depth (an edge from _same_depth_edge), so walking
+    # both up in step meets at their lowest common ancestor; the two tree
     # paths plus the conflict edge form a simple odd cycle
     px, py = [x], [y]
-    while depth[px[-1]] > depth[py[-1]]:
-        px.append(parent[px[-1]])
-    while depth[py[-1]] > depth[px[-1]]:
-        py.append(parent[py[-1]])
     while px[-1] != py[-1]:
         px.append(parent[px[-1]])
         py.append(parent[py[-1]])

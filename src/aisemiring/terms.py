@@ -383,16 +383,14 @@ def is_subterm(u: Term, v: Term) -> SubtermWitness | None:
     """
     anchor = u.words[0].letters
     v_words = set(v.words)
-    tried: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    # each context is tried once: with the anchor, (left, right) fixes the
+    # host word left + anchor + right and the offset, and v's words differ
     for x in v.words:
         ls = x.letters
         for i in range(len(ls) - len(anchor) + 1):
             if ls[i : i + len(anchor)] != anchor:
                 continue
             left, right = ls[:i], ls[i + len(anchor):]
-            if (left, right) in tried:
-                continue
-            tried.add((left, right))
             image = {Word._of(left + w.letters + right) for w in u.words}
             if image <= v_words:
                 leftover = v_words - image

@@ -386,6 +386,11 @@ def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
     return start, cur
 
 
+#: bounds of the derivation-soundness claim's searches
+SOUNDNESS_BOUNDS = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
+                                max_subst_image=3)
+
+
 def claim_derivation_soundness(count: int = 1000):
     rng = random.Random(_SEED + 3)
     pool = (
@@ -394,13 +399,11 @@ def claim_derivation_soundness(count: int = 1000):
         + enumerate_ai_semirings(3)
         + [registry("S4_124"), registry("S4_359")]
     )
-    bounds = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
-                          max_subst_image=3)
     found = 0
     for i in range(count):
         sigma = _random_sigma(rng)
-        claim = _random_reachable_claim(rng, sigma, bounds)
-        result = search_derivation(sigma, claim, bounds)
+        claim = _random_reachable_claim(rng, sigma, SOUNDNESS_BOUNDS)
+        result = search_derivation(sigma, claim, SOUNDNESS_BOUNDS)
         if not result.found:
             continue
         found += 1

@@ -285,3 +285,19 @@ class TestFileFormat:
     def test_empty_file(self):
         with pytest.raises(AlgebraSyntaxError, match="empty"):
             parse_algebra_raw("  \n# nothing\n")
+
+    S2_TEXT = "algebra S2\nelements 1 2\nadd\n1 1\n1 2\nmul\n1 1\n1 2\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("algebra S2 extra\n", "line 1: 'algebra' takes 1 argument(s)"),
+        ("algebra S2\nelements\n", "line 2: no element labels"),
+        ("algebra S2\nelements 1 1\n", "line 2: duplicate element labels"),
+        ("algebra S2\nelements 1 2\n", "unexpected end of file, expected 'add'"),
+        ("algebra S2\nelements 1 2\nadd\n1 1\n",
+         "table/label arity mismatch: 'add' table needs 2 rows"),
+        (S2_TEXT + "1 2\n", "line 9: trailing content '1 2'"),
+    ])
+    def test_malformed_file(self, text, message):
+        with pytest.raises(AlgebraSyntaxError) as exc:
+            parse_algebra_raw(text)
+        assert str(exc.value) == message

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from aisemiring import cli
 from aisemiring.algebra import parse_algebra, registry, serialize_algebra
 from aisemiring.cli import build_parser, main
+from aisemiring.enumeration import enumerate_ai_semirings
 from aisemiring.structure import are_isomorphic
 from aisemiring import verify
 
@@ -118,6 +120,27 @@ class TestHolds:
         code, out, _ = run(capsys, "holds", str(path), "--ineq", "x <= x + y")
         assert code == 0 and "yes" in out
 
+    def test_malformed_algebra_file_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.alg"
+        path.write_text(serialize_algebra(registry("S2")).replace("mul", "mull"))
+        code, out, err = run(capsys, "holds", str(path), "--ineq", "x <= x")
+        assert code == 2 and out == ""
+        assert f"{path}: line 7: expected 'mul', found 'mull'" in err
+
+    def test_algebra_file_violating_the_axioms(self, tmp_path, capsys):
+        text = serialize_algebra(registry("S7")).replace("0 a 0", "0 1 0", 1)
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, "holds", str(path), "--ineq", "x <= x")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    def test_over_the_assignment_budget(self, capsys):
+        ineq = "x1 <= " + " + ".join(f"x{i}" for i in range(1, 22))
+        code, out, err = run(capsys, "holds", "S2", "--ineq", ineq)
+        assert code == 1 and out == ""
+        assert "3^21 assignments exceed the budget" in err
+
 
 class TestDecide:
     @pytest.mark.parametrize("which", ["s2", "s7", "s53"])
@@ -131,6 +154,25 @@ class TestDecide:
     def test_failing_inequality_exits_one(self, capsys):
         code, out, _ = run(capsys, "decide", "s53", "--oracle", "--ineq", "xz <= xy + z")
         assert code == 1
+
+    def test_json_without_oracle(self, capsys):
+        code, out, _ = run(capsys, "decide", "s2", "--json", "--ineq", "x <= x + y")
+        assert code == 0
+        assert json.loads(out) == {"algebra": "S2", "inequality": "x <= x + y",
+                                   "decider": True}
+
+    def test_mismatch_with_the_oracle(self, capsys, monkeypatch):
+        # a decider that answers the opposite of brute force
+        real = cli.DECIDERS["S2"]
+        monkeypatch.setitem(cli.DECIDERS, "S2", lambda q, u: not real(q, u))
+        argv = ["decide", "s2", "--oracle", "--ineq", "x <= x + y"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (1, "decider: False, oracle: True -- MISMATCH\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out) == {"algebra": "S2", "inequality": "x <= x + y",
+                                   "decider": False, "oracle": True,
+                                   "agreement": False}
 
     def test_oracle_over_the_budget_is_one_error_line(self, capsys):
         # 3^21 assignments pass the guard; decide has no --force, so the
@@ -158,6 +200,25 @@ class TestFamily:
         )
         assert code == 0
         assert json.loads(out)["results"] == [{"n": 1, "holds": True}]
+
+    def test_failing_algebra(self, tmp_path, capsys):
+        # the order-3 class A3_013 fails the family inequality at n=1
+        [A] = [S for S in enumerate_ai_semirings(3) if S.name == "A3_013"]
+        path = tmp_path / "a3_013.alg"
+        path.write_text(serialize_algebra(A))
+        code, out, _ = run(capsys, "family", "--algebra", str(path), "--nmax", "1")
+        assert code == 1
+        [line] = out.splitlines()
+        assert line.startswith("n=1: fails at ")
+        code, out, _ = run(capsys, "family", "--algebra", str(path), "--nmax", "1",
+                           "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["algebra"] == "A3_013"
+        [result] = payload["results"]
+        assert result["n"] == 1 and result["holds"] is False
+        binding = ", ".join(f"{x}={v}" for x, v in sorted(result["counterexample"].items()))
+        assert line == f"n=1: fails at {binding}"
 
     def test_guard_is_semantic_error(self, capsys):
         code, _, err = run(capsys, "family", "--algebra", "S2", "--nmax", "9")
@@ -216,6 +277,24 @@ class TestStructureCommands:
         assert code == 0
         assert "injective: yes" in out and "surjective: yes" in out
 
+    def test_subdirect_json(self, capsys):
+        code, out, _ = run(
+            capsys, "subdirect", "R6", "--theta1", "1,2,3,4", "--theta2", "1,6|2,5",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "injective": True, "surjective": True, "meet_is_discrete": True,
+            "factor1": {"name": "R6/{1,2,3,4}|{5}|{6}", "order": 3},
+            "factor2": {"name": "R6/{1,6}|{2,5}|{3}|{4}", "order": 4},
+        }
+
+    def test_subdirect_non_congruence(self, capsys):
+        code, out, err = run(capsys, "subdirect", "S7", "--theta1", "0,1",
+                             "--theta2", "0,a")
+        assert code == 1 and out == ""
+        assert "not a congruence" in err
+
 
 class TestEnumerate:
     def test_census_records_parse_back(self, capsys):
@@ -246,6 +325,18 @@ class TestEnumerate:
         text = out_file.read_text()
         assert "# summary" in text
         assert len([c for c in text.split("---") if "algebra" in c]) == 32
+
+    def test_json_summary_with_out(self, tmp_path, capsys):
+        # --out takes the records and --json still picks the summary's form
+        out_file = tmp_path / "census2.txt"
+        code, alone, _ = run(capsys, "enumerate", "--order", "2", "--classify", "--json")
+        assert code == 0
+        code, out, _ = run(capsys, "enumerate", "--order", "2", "--classify", "--json",
+                           "--out", str(out_file))
+        assert code == 0
+        assert out == alone and json.loads(out)["classes"] == 6
+        _, records, _ = run(capsys, "enumerate", "--order", "2")
+        assert out_file.read_text() == records
 
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "enumerate", "--order", "9")
@@ -342,6 +433,12 @@ class TestDerive:
             "search: explored 7 terms, pruned 56 rewrites, frontier sizes 1, 2, 4"
         )
 
+    def test_zero_bound_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "derive", "search", "--rule", "xy = yx",
+                             "--claim", "xy = yx", "--max-chain", "0")
+        assert code == 2 and out == ""
+        assert err == "error: all search bounds must be positive\n"
+
     def test_search_without_rules(self, capsys):
         code, _, err = run(capsys, "derive", "search", "--claim", "a = b")
         assert code == 2
@@ -385,6 +482,26 @@ class TestFileErrors:
         assert code == 2
         assert "No such file or directory" in err
         assert not out.parent.exists()
+
+
+class TestBadArguments:
+    """Malformed statements, blocks and subsets are usage errors (exit 2)
+    with one error line."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("holds", "S2", "--ineq", "x + y"), "inequality needs '<=': 'x + y'"),
+        (("holds", "S2", "--ineq", "x <= y +"), "empty summand in ' y +'"),
+        (("holds", "S2", "--ineq", "<= x"), "empty word in ''"),
+        (("holds", "S2", "--id", "x <= y"), "identity needs a single '=': 'x <= y'"),
+        (("holds", "S2", "--id", "x = 1y"), "illegal identifier starting at '1y'"),
+        (("quotient", "S2", "--blocks", "1|"), "empty block in '1|'"),
+        (("quotient", "S2", "--blocks", "1|1,2"),
+         "bad partition '1|1,2': blocks must be pairwise disjoint"),
+        (("subalgebra", "S2", "--subset", ","), "empty subset"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestPaperVerify:

@@ -8,6 +8,7 @@ from aisemiring.derivation import (
     DerivationRuleError,
     DerivationStep,
     DerivationSyntaxError,
+    DerivationVerdict,
     SearchBounds,
     SearchResult,
     check_derivation,
@@ -18,7 +19,7 @@ from aisemiring.derivation import (
     search_derivation,
 )
 from aisemiring.terms import Substitution, Term, Word, content, parse_term, parse_word, wrap
-from aisemiring.verify import _random_reachable_claim, _random_sigma
+from aisemiring.verify import SOUNDNESS_BOUNDS, _random_reachable_claim, _random_sigma
 
 t = parse_term
 
@@ -119,6 +120,17 @@ class TestCheckDerivation:
         assert not check_derivation(d, (t("y"), t("x"))).ok
         assert not check_derivation(d, (t("x"), t("y"))).ok
 
+    def test_malformed_derivations(self):
+        rule = identity("xy = yx")
+        step = DerivationStep(rule=rule, forward=True)
+        claim = (t("xy"), t("yx"))
+        assert check_derivation(Derivation([rule], [], []), claim) == DerivationVerdict(
+            False, None, "empty chain")
+        assert check_derivation(Derivation([rule], [t("xy")], [step]), claim) == (
+            DerivationVerdict(False, None, "1 steps cannot justify a chain of 1 terms"))
+        assert check_derivation(Derivation([], [t("xy"), t("yx")], [step]), claim) == (
+            DerivationVerdict(False, 0, "rule xy = yx is not in the identity set"))
+
 
 class TestSearch:
     def test_one_step_commutativity(self):
@@ -190,6 +202,15 @@ step: rule 1 forward; left -; right -; rest z; sub x := x, y := y
         assert again.chain == d.chain
         assert check_derivation(again, (d.chain[0], d.chain[-1]))
 
+    def test_round_trip_without_substitution(self):
+        text = self.GOOD.replace("; sub x := x, y := y", "")
+        d = parse_derivation(text)
+        assert format_derivation(d).endswith("; rest z; sub -\n")
+        assert parse_derivation(format_derivation(d)) == d
+
+    def test_empty_step_fields_are_skipped(self):
+        assert parse_derivation(self.GOOD.replace("; ", ";; ")) == parse_derivation(self.GOOD)
+
     def test_search_output_reparses(self):
         sigma = [identity("xy = yx")]
         result = search_derivation(sigma, (t("xyz"), t("zyx")))
@@ -209,6 +230,12 @@ step: rule 1 forward; left -; right -; rest z; sub x := x, y := y
              "line 7: illegal variable name '1x'"),
             (lambda s: s.replace("sub x := x, y := y", "sub x := y, x := x"),
              "line 7: duplicate binding for x"),
+            (lambda s: s.split("chain:")[0], "no chain section"),
+            (lambda s: s.replace("rule 1 forward", "rule 1 sideways"),
+             "line 7: rule field must be"),
+            (lambda s: s.replace("rule 1", "rule one"), "line 7: bad rule index 'one'"),
+            (lambda s: s.replace("sub x := x, y := y", "sub x = y"),
+             "line 7: binding 'x = y' needs ':='"),
         ],
     )
     def test_syntax_errors(self, mutation, match):
@@ -225,13 +252,11 @@ class TestSoundnessSample:
 
         rng = random.Random(4242)
         pool = enumerate_ai_semirings(2) + enumerate_ai_semirings(3)[:20]
-        bounds = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
-                              max_subst_image=3)
         found = 0
         for _ in range(60):
             sigma = _random_sigma(rng)
-            claim = _random_reachable_claim(rng, sigma, bounds)
-            result = search_derivation(sigma, claim, bounds)
+            claim = _random_reachable_claim(rng, sigma, SOUNDNESS_BOUNDS)
+            result = search_derivation(sigma, claim, SOUNDNESS_BOUNDS)
             if not result.found:
                 continue
             found += 1
@@ -405,10 +430,6 @@ def reference_search(sigma, claim, bounds):
                         len(back), total_pruned, tuple(sizes))
 
 
-SOUNDNESS_BOUNDS = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
-                                max_subst_image=3)
-
-
 def assert_same_search(sigma, claim, bounds):
     ours, ref = search_derivation(sigma, claim, bounds), reference_search(sigma, claim, bounds)
     assert ours.reason == ref.reason
@@ -445,6 +466,28 @@ class TestAgainstObjectSearch:
         assert ours == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b"])
         terms = [t2 for t2, _ in ours[0]]
         assert len(terms) > len(set(terms))
+
+    def test_image_of_four_words_keeps_none_or_all(self):
+        # where the four source words match four different words, the
+        # remainder keeps none of the rewritten image or all of it
+        sigma = [identity("x + y + z + w = xyzw")]
+        term = t("a + b + c + d")
+        ours = neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b", "c", "d"])
+        assert ours == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS,
+                                           ["a", "b", "c", "d"])
+        kept = {step.remainder for _, step in ours[0]
+                if step.forward and len(set(step.subst.mapping.values())) == 4}
+        assert kept == {None, term}
+
+    def test_three_unbound_variables_skip_the_orientation(self):
+        # forward, x = x + yzw would have to guess y, z and w; only the
+        # backward orientation is tried
+        sigma = [identity("x = x + yzw")]
+        term = t("a + bcd")
+        ours = neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b", "c", "d"])
+        assert ours == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS,
+                                           ["a", "b", "c", "d"])
+        assert ours[0] and not any(step.forward for _, step in ours[0])
 
     def test_chain_bound_reached(self):
         result = assert_same_search(

@@ -235,7 +235,7 @@ class TestDeciders:
     )
     def test_oracle_agreement_sample(self, decider, name):
         S = registry(name)
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(name)
         for _ in range(400):
             q, u = random_inequality(rng)
             assert decider(q, u) == holds_inequality(S, q, u).holds

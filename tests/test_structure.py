@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aisemiring.algebra import FiniteAiSemiring, registry, validate
+from aisemiring.enumeration import enumerate_ai_semirings
 from aisemiring.structure import (
     ClosureError,
     Homomorphism,
@@ -64,6 +65,16 @@ class TestCongruence:
             P.block_of[table[a, c]] != P.block_of[table[b, c]]
             or P.block_of[table[c, a]] != P.block_of[table[c, b]]
         )
+
+    def test_left_translation_is_checked(self):
+        # in A3_006 with 0 ~ 2, the first separation is on the left:
+        # 1*0 and 1*2 fall in different blocks, 0*1 and 2*1 do not
+        [S] = [S for S in enumerate_ai_semirings(3) if S.name == "A3_006"]
+        P = Partition.closing([[0, 2]], 3)
+        v = is_congruence(S, P)
+        assert v.witness == ("mul", 0, 2, 1)
+        assert P.block_of[S.mul[0, 1]] == P.block_of[S.mul[2, 1]]
+        assert P.block_of[S.mul[1, 0]] != P.block_of[S.mul[1, 2]]
 
 
 class TestQuotient:

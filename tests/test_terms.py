@@ -62,6 +62,7 @@ class TestParsing:
     def test_star_and_juxtaposition(self):
         assert t("y1*y2 + y1") == Term([w("y1y2"), w("y1")])
         assert t("x y z") == t("xyz")
+        assert w("*x*y*") == w("xy")
 
     def test_single_letter_variables_tokenize(self):
         assert w("xyz").letters == ("x", "y", "z")
