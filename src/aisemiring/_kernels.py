@@ -9,9 +9,11 @@ of the additive semilattice, chosen by index from the precomputed set of
 them, whose joins and compositions are tabled, so setting a row checks
 right distributivity and associativity as row equations and forces the
 rows they name, for a whole block of partial tables at once. Canonical
-forms come from one least-relabelling search over carrier permutations,
-which also returns the permutations reaching the least table (for a
-canonical one, its automorphisms).
+forms relabel a table under all k! carrier permutations in one gather and
+take the least row with ``lexsort``, which also gives the permutations
+reaching it (for a canonical table, its automorphisms). ``canonical_pairs``
+relabels a whole stack of uint8 multiplication tables under each of those
+permutations with one column gather and one renaming.
 
 The scan is a broadcast over a k x ... x k grid with one axis per variable.
 Each word is evaluated once, over the axes of its own variables only, as a
@@ -231,33 +233,42 @@ def census_mul_tables(add) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical forms under carrier permutation
 
+def _relabel_cells(invs) -> np.ndarray:
+    """For each inverse permutation, the row-major cells of a (k, k) table
+    to read, in order, for the table relabelled by that permutation:
+    cell (x, y) of the result reads cell (inv[x], inv[y])."""
+    k = invs.shape[1]
+    return (invs[:, :, None] * k + invs[:, None, :]).reshape(len(invs), k * k)
+
+
 @functools.cache
-def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
+def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k! permutations of range(k) in lexicographic order, one per row,
-    and their inverses. Shared, so read-only."""
+    their inverses, and the cells to read for every relabelling at once:
+    row p of ``cells`` picks, from a flat stack of k! row-major (k, k)
+    tables, table p relabelled by permutation p. Shared, so read-only."""
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     invs = np.argsort(perms, axis=1)
-    perms.flags.writeable = invs.flags.writeable = False
-    return perms, invs
-
-
-def _relabelled(tables, perm, inv) -> np.ndarray:
-    """Each (k, k) table of ``tables`` with every element x renamed
-    perm[x], flattened row-major to uint8."""
-    out = perm[tables[..., inv[:, None], inv[None, :]]]
-    return out.astype(np.uint8).reshape(*tables.shape[:-2], -1)
+    cells = _relabel_cells(invs) + np.arange(0, perms.size * k, k * k)[:, None]
+    perms.flags.writeable = invs.flags.writeable = cells.flags.writeable = False
+    return perms, invs, cells
 
 
 def _least_relabelling(table) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The least relabelling of a (k, k) table as row-major uint8 bytes, the
     permutations giving it, one per row (Aut(table) when it is canonical),
-    and their inverses."""
+    and their inverses.
+
+    Every relabelling comes from one gather: row p of ``renamed`` is the
+    table with each entry renamed by permutation p, and ``cells`` reads it
+    at the permuted cells. ``lexsort`` then finds the least row."""
     arr = np.ascontiguousarray(table, dtype=np.int64)
-    perms, invs = permutation_arrays(arr.shape[0])
-    forms = [_relabelled(arr, perms[p], invs[p]).tobytes() for p in range(len(perms))]
-    least = min(forms)
-    reach = [form == least for form in forms]
-    return least, perms[reach], invs[reach]
+    perms, invs, cells = permutation_arrays(arr.shape[0])
+    renamed = perms[:, arr.ravel()].astype(np.uint8)
+    forms = renamed.ravel()[cells]
+    least = forms[np.lexsort(forms.T[::-1])[0]]
+    reach = (forms == least).all(axis=1)
+    return least.tobytes(), perms[reach], invs[reach]
 
 
 def canonical_pairs(add, muls) -> list[bytes]:
@@ -266,32 +277,32 @@ def canonical_pairs(add, muls) -> list[bytes]:
 
     The add part is shared by every mul, so the least form comes from a
     permutation that gives the least relabelled add; only those are tried.
-    Over them, a running minimum of the relabelled mul tables is kept, one
-    row per table, and each row is decided at its first differing column.
+    The mul tables are cast to uint8 once; under each such permutation all
+    of them are relabelled by one column gather and one renaming. A running
+    minimum of the relabelled tables is kept, one row per table, and each
+    row is decided at its first differing column.
     """
     add = np.ascontiguousarray(add, dtype=np.int64)
     k = add.shape[0]
-    muls = np.ascontiguousarray(muls, dtype=np.int64).reshape(-1, k, k)
-    if len(muls) == 0:
+    small = np.asarray(muls).reshape(-1, k * k).astype(np.uint8)
+    if len(small) == 0:
         return []
     least_add, perms, invs = _least_relabelling(add)
-    best = _relabelled(muls, perms[0], invs[0])
-    rows = np.arange(len(muls))
-    for perm, inv in zip(perms[1:], invs[1:]):
-        cand = _relabelled(muls, perm, inv)
+    perms = perms.astype(np.uint8)
+    cells = _relabel_cells(invs)
+    best = np.take(perms[0], small[:, cells[0]])
+    rows = np.arange(len(small))
+    for perm, cell in zip(perms[1:], cells[1:]):
+        cand = np.take(perm, small[:, cell])
         col = np.argmax(cand != best, axis=1)
         less = cand[rows, col] < best[rows, col]
         best[less] = cand[less]
-    return [least_add + row.tobytes() for row in best]
+    data, size = best.tobytes(), k * k
+    return [least_add + data[i:i + size] for i in range(0, len(data), size)]
 
 
 def canonical_pair(add, mul) -> bytes:
     return canonical_pairs(add, np.asarray(mul)[None, :, :])[0]
-
-
-def unpack_pair(form: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
-    flat = np.frombuffer(form, dtype=np.uint8).astype(np.int64)
-    return flat[: k * k].reshape(k, k).copy(), flat[k * k:].reshape(k, k).copy()
 
 
 def canonical_table(table) -> bytes:

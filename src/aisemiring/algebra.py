@@ -4,9 +4,12 @@ Elements are 0-based indices; labels are presentation-only. The natural
 order is a <= b iff a + b = b, which makes addition the join of a
 semilattice with a top element.
 
-The axioms are checked in one place: ``_failure_masks`` yields a numpy
-failure mask per axiom family. ``tables_valid`` stops at the first family
-that fails; ``validate`` reads its witnesses from the same masks.
+The axioms are checked in one place: ``_failure_masks`` takes (N, k, k)
+stacks of tables and yields one numpy failure mask per axiom family over the
+whole stack. ``valid_stack`` and ``FiniteAiSemiring.stack`` check a stack in
+one call; ``tables_valid``, ``validate`` and the constructor check one pair
+as a stack of one. ``tables_valid`` stops at the first family that fails;
+``validate`` reads its witnesses from the same masks.
 """
 
 from __future__ import annotations
@@ -57,24 +60,29 @@ class ValidationReport:
         return self.ok
 
 
-def _as_table(table, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise TableFormatError(f"{what} table must be square and nonempty")
-    k = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= k:
-        bad = np.argwhere((arr < 0) | (arr >= k))[0]
-        raise TableFormatError(
-            f"{what} table entry at row {bad[0]}, column {bad[1]} is out of range"
-        )
-    return arr
-
-
-def _as_tables(add, mul) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_table(add, "addition")
-    m = _as_table(mul, "multiplication")
+def _as_stacks(adds, muls) -> tuple[np.ndarray, np.ndarray]:
+    """The addition and multiplication tables as (N, k, k) int64 stacks,
+    checked for shape and range; a range error names the first table, in
+    stack order, with an entry out of range."""
+    stacks = []
+    for what, tables in (("addition", adds), ("multiplication", muls)):
+        arr = np.asarray(tables, dtype=np.int64)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
+            raise TableFormatError(f"{what} table must be square and nonempty")
+        stacks.append(arr)
+    a, m = stacks
     if a.shape != m.shape:
         raise TableFormatError("addition and multiplication tables differ in order")
+    k = a.shape[1]
+    # C order is table, then addition before multiplication, then row, column
+    bad = np.stack((a, m), axis=1)
+    bad = (bad < 0) | (bad >= k)
+    if bad.any():
+        _, which, row, col = np.argwhere(bad)[0]
+        raise TableFormatError(
+            f"{('addition', 'multiplication')[which]} table entry at row {row}, "
+            f"column {col} is out of range"
+        )
     return a, m
 
 
@@ -92,33 +100,41 @@ AXIOMS = (
 @functools.cache
 def _grids(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index grids for order k, shared by every call and only read: the
-    elements, the same along the first of three axes, and the pairs i < j
-    in row-major order."""
+    elements, the start i * k of each row i of a (k, k) table along the
+    first of two axes, and the pairs i < j in row-major order."""
     r = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
-    return r, r[:, None, None], iu, ju
+    return r, r[:, None] * k, iu, ju
 
 
 def _failure_masks(a: np.ndarray, m: np.ndarray) -> Iterator[np.ndarray]:
-    """The failure mask of each family in AXIOMS, in order: over i for
-    idempotency, over the pairs i < j for commutativity, and over the
-    triples (i, j, l) for the other four."""
-    r, i, iu, ju = _grids(a.shape[0])
-    yield a.diagonal() != r
-    yield a[iu, ju] != a[ju, iu]
-    # a[i, j], a[j, l], m[i, l] and so on as broadcast views of the tables
-    aij, ajl = a[:, :, None], a[None]
-    mij, mil, mjl = m[:, :, None], m[:, None, :], m[None]
-    yield a[aij, r] != a[i, ajl]
-    yield m[mij, r] != m[i, mjl]
-    yield m[i, ajl] != a[mij, mil]
-    yield m[aij, r] != a[mil, mjl]
+    """The failure mask of each family in AXIOMS, in order, for (N, k, k)
+    stacks of tables: over (table, i) for idempotency, over (table, pair
+    i < j) for commutativity, and over (table, i, j, l) for the other four."""
+    n, k = a.shape[:2]
+    r, rows, iu, ju = _grids(k)
+    yield a.diagonal(0, 1, 2) != r
+    yield a[:, iu, ju] != a[:, ju, iu]
+    # x[t, u, v] is x.ravel()[off[t] + u * k + v], so a value v of table t
+    # names the row that starts at off[t] + v * k
+    af, mf = a.ravel(), m.ravel()
+    off = np.arange(0, n * k * k, k * k).reshape(n, 1, 1)
+    arow, mrow = off + a * k, off + m * k
+    irow = (off + rows)[..., None]
+    # over (t, i, j, l): cells (a[i, j], l) and (i, a[j, l]) of either table
+    aij_l = arow[..., None] + r
+    i_ajl = irow + a[:, None]
+    yield af[aij_l] != af[i_ajl]
+    yield mf[mrow[..., None] + r] != mf[irow + m[:, None]]
+    yield mf[i_ajl] != af[mrow[..., None] + m[:, :, None]]
+    yield mf[aij_l] != af[mrow[:, :, None] + m[:, None]]
 
 
 def _witnesses(a: np.ndarray, m: np.ndarray) -> Iterator[Violation]:
-    """Every violation in report order: idempotency by i, commutativity by
-    (i, j), then the triple families by (i, j, l) and family order."""
-    idem, comm, *triples = _failure_masks(a, m)
+    """Every violation of the (k, k) tables in report order: idempotency by
+    i, commutativity by (i, j), then the triple families by (i, j, l) and
+    family order."""
+    idem, comm, *triples = (mask[0] for mask in _failure_masks(a[None], m[None]))
     _, _, iu, ju = _grids(a.shape[0])
     for i in np.flatnonzero(idem):
         yield Violation(AXIOMS[0], (int(i),))
@@ -134,16 +150,50 @@ def validate(add, mul) -> ValidationReport:
     Malformed tables raise TableFormatError; axiom failures come back in
     the report with witnessing elements, capped at MAX_VIOLATION_WITNESSES.
     """
-    a, m = _as_tables(add, mul)
-    found = list(itertools.islice(_witnesses(a, m), MAX_VIOLATION_WITNESSES + 1))
+    a, m = _as_stacks([add], [mul])
+    found = list(itertools.islice(_witnesses(a[0], m[0]), MAX_VIOLATION_WITNESSES + 1))
     truncated = len(found) > MAX_VIOLATION_WITNESSES
     return ValidationReport(not found, tuple(found[:MAX_VIOLATION_WITNESSES]), truncated)
 
 
 def tables_valid(add: np.ndarray, mul: np.ndarray) -> bool:
-    """Fast all-or-nothing axiom check (no witnesses): stops at the first
-    family that fails."""
-    return not any(mask.any() for mask in _failure_masks(add, mul))
+    """Fast all-or-nothing axiom check of one pair of (k, k) tables (no
+    witnesses): stops at the first family that fails."""
+    return not any(mask.any() for mask in _failure_masks(add[None], mul[None]))
+
+
+def valid_stack(adds: np.ndarray, muls: np.ndarray) -> np.ndarray:
+    """Per table pair of two (N, k, k) stacks, whether it satisfies every
+    axiom family; one check for the whole stack."""
+    ok = np.ones(len(adds), dtype=bool)
+    for mask in _failure_masks(adds, muls):
+        ok &= ~mask.any(axis=tuple(range(1, mask.ndim)))
+    return ok
+
+
+def _checked(names, labels, adds, muls):
+    """(labels, adds, muls) for algebras on one carrier, the tables as
+    read-only (N, k, k) stacks, after one check of shape, range, labels and
+    every axiom family over the whole stack. The first failing pair raises
+    ValueError naming its algebra and up to four violations."""
+    a, m = _as_stacks(adds, muls)
+    k = a.shape[1]
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != k:
+        raise TableFormatError("table/label arity mismatch")
+    if len(set(labels)) != k:
+        raise TableFormatError("labels must be distinct")
+    ok = valid_stack(a, m)
+    if not ok.all():
+        t = int(np.argmin(ok))
+        report = validate(a[t], m[t])
+        raise ValueError(
+            f"{names[t]}: not an ai-semiring: "
+            + "; ".join(v.describe(labels) for v in report.violations[:4])
+        )
+    a.setflags(write=False)
+    m.setflags(write=False)
+    return labels, a, m
 
 
 class FiniteAiSemiring:
@@ -151,31 +201,37 @@ class FiniteAiSemiring:
 
     Construction verifies all axioms, so any instance in circulation is a
     genuine ai-semiring; use :func:`validate` on raw tables for diagnostics.
+    :meth:`stack` builds many algebras on one carrier with one check.
     """
 
     __slots__ = ("name", "order", "labels", "add", "mul")
 
     def __init__(self, name: str, labels: Sequence[str], add, mul):
-        a, m = _as_tables(add, mul)
-        k = a.shape[0]
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != k:
-            raise TableFormatError("table/label arity mismatch")
-        if len(set(labels)) != k:
-            raise TableFormatError("labels must be distinct")
-        if not tables_valid(a, m):
-            report = validate(a, m)
-            raise ValueError(
-                f"{name}: not an ai-semiring: "
-                + "; ".join(v.describe(labels) for v in report.violations[:4])
-            )
-        a.setflags(write=False)
-        m.setflags(write=False)
+        labels, a, m = _checked([name], labels, [add], [mul])
+        self._take(name, labels, a[0], m[0])
+
+    @classmethod
+    def stack(cls, names: Sequence[str], labels: Sequence[str], tables) -> list[FiniteAiSemiring]:
+        """One algebra per (add, mul) pair of an (N, 2, k, k) stack of
+        tables, all on the same labels, checked in one call; the first
+        failing pair raises as the constructor would, with its name."""
+        tables = np.array(tables, dtype=np.int64)
+        if tables.ndim != 4 or tables.shape[1] != 2 or len(tables) != len(names):
+            raise TableFormatError("need one name per (add, mul) pair of an (N, 2, k, k) stack")
+        labels, adds, muls = _checked(names, labels, tables[:, 0], tables[:, 1])
+        out = []
+        for name, add, mul in zip(names, adds, muls):
+            S = cls.__new__(cls)
+            S._take(name, labels, add, mul)
+            out.append(S)
+        return out
+
+    def _take(self, name, labels, add, mul) -> None:
         self.name = name
-        self.order = k
+        self.order = len(labels)
         self.labels = labels
-        self.add = a
-        self.mul = m
+        self.add = add
+        self.mul = mul
 
     def label(self, i: int) -> str:
         return self.labels[i]

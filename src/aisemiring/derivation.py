@@ -316,6 +316,24 @@ def _step(rule: Identity, forward: bool, left: Letters, right: Letters,
     )
 
 
+def sorted_rewrites(sigma: list[Identity], t: Term, bounds: SearchBounds,
+                    image_pool: list[Variable]):
+    """The one-step rewrites of t as (sort key of the next term, witnesses),
+    sorted by key, stably, plus the number pruned for exceeding the bounds;
+    see :func:`neighbors`. Turning a key into a Term and its witnesses into
+    a DerivationStep is left to the caller, for the rewrites it keeps."""
+    found = []
+    pruned = 0
+    for rewrite in _rewrites(_orientations(sigma), t.sort_key(), bounds, image_pool):
+        if rewrite is None:
+            pruned += 1
+        else:
+            t_next, witnesses = rewrite
+            found.append((term_key(t_next), witnesses))
+    found.sort(key=itemgetter(0))
+    return found, pruned
+
+
 def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
               image_pool: list[Variable]):
     """One-step rewrites of t: every (next_term, step) one rule application
@@ -326,15 +344,7 @@ def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
     The list is sorted by term, stably, so the result is deterministic and
     a term reached in several ways appears once per way.
     """
-    found = []
-    pruned = 0
-    for rewrite in _rewrites(_orientations(sigma), t.sort_key(), bounds, image_pool):
-        if rewrite is None:
-            pruned += 1
-        else:
-            t_next, witnesses = rewrite
-            found.append((term_key(t_next), witnesses))
-    found.sort(key=itemgetter(0))
+    found, pruned = sorted_rewrites(sigma, t, bounds, image_pool)
     return [(Term._of(key), _step(*witnesses)) for key, witnesses in found], pruned
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .algebra import FiniteAiSemiring, profile_from_add, tables_valid
+from .algebra import FiniteAiSemiring, profile_from_add, valid_stack
 from .family import member_of_W
 
 #: largest order the census enumerates
@@ -41,15 +41,15 @@ def enumerate_semilattices(k: int) -> list[np.ndarray]:
         found: set[bytes] = set()
         for L in tables:
             # border L with a new element j-1 whose joins x -> (j-1) + x
-            # are f; a symmetric idempotent table t is a semilattice exactly
-            # when (t, t) is an ai-semiring
-            table = np.empty((j, j), dtype=np.int64)
-            table[:-1, :-1] = L
-            table[-1, -1] = j - 1
-            for f in _kernels.join_endomorphisms(L):
-                table[-1, :-1] = table[:-1, -1] = f
-                if tables_valid(table, table):
-                    found.add(_kernels.canonical_table(table))
+            # are f, one table per f in E(L); a symmetric idempotent table t
+            # is a semilattice exactly when (t, t) is an ai-semiring
+            ends = _kernels.join_endomorphisms(L)
+            borders = np.empty((len(ends), j, j), dtype=np.int64)
+            borders[:, :-1, :-1] = L
+            borders[:, -1, -1] = j - 1
+            borders[:, -1, :-1] = borders[:, :-1, -1] = ends
+            for table in borders[valid_stack(borders, borders)]:
+                found.add(_kernels.canonical_table(table))
         tables = [_kernels.unpack_table(form, j) for form in sorted(found)]
     return tables
 
@@ -66,12 +66,9 @@ def enumerate_ai_semirings(k: int) -> list[FiniteAiSemiring]:
     forms: set[bytes] = set()
     for add in enumerate_semilattices(k):
         forms.update(_kernels.canonical_pairs(add, _kernels.census_mul_tables(add)))
-    labels = [str(i + 1) for i in range(k)]
-    out = []
-    for i, form in enumerate(sorted(forms)):
-        add, mul = _kernels.unpack_pair(form, k)
-        out.append(FiniteAiSemiring(f"A{k}_{i + 1:03d}", labels, add, mul))
-    return out
+    tables = np.frombuffer(b"".join(sorted(forms)), dtype=np.uint8).reshape(-1, 2, k, k)
+    names = [f"A{k}_{i + 1:03d}" for i in range(len(tables))]
+    return FiniteAiSemiring.stack(names, [str(i + 1) for i in range(k)], tables)
 
 
 @dataclass(frozen=True)

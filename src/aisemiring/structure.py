@@ -111,6 +111,8 @@ class CongruenceVerdict:
     ok: bool
     #: (operation, a, b, c): a ~ b but combining with c separates the classes
     witness: tuple[str, int, int, int] | None = None
+    #: the side c stands on: "right" separates a*c and b*c, "left" c*a and c*b
+    side: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -127,9 +129,9 @@ def is_congruence(S: FiniteAiSemiring, P: Partition) -> CongruenceVerdict:
             for c in range(S.order):
                 for op, table in (("add", S.add), ("mul", S.mul)):
                     if bo[table[a, c]] != bo[table[b, c]]:
-                        return CongruenceVerdict(False, (op, a, b, c))
+                        return CongruenceVerdict(False, (op, a, b, c), "right")
                     if bo[table[c, a]] != bo[table[c, b]]:
-                        return CongruenceVerdict(False, (op, a, b, c))
+                        return CongruenceVerdict(False, (op, a, b, c), "left")
     return CongruenceVerdict(True)
 
 
@@ -144,7 +146,7 @@ def quotient(S: FiniteAiSemiring, P: Partition) -> FiniteAiSemiring:
         op, a, b, c = verdict.witness
         raise ValueError(
             f"not a congruence: {S.labels[a]} ~ {S.labels[b]} but {op} with "
-            f"{S.labels[c]} separates them"
+            f"{S.labels[c]} on the {verdict.side} separates them"
         )
     m = len(P.blocks)
     reps = [min(b) for b in P.blocks]

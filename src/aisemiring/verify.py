@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import REGISTRY_NAMES, natural_order, registry, validate
-from .derivation import SearchBounds, check_derivation, neighbors, search_derivation
+from .derivation import SearchBounds, check_derivation, search_derivation, sorted_rewrites
 from .enumeration import (
     classify_additive_type,
     enumerate_ai_semirings,
@@ -379,10 +379,11 @@ def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
     cur = start
     pool = sorted(content(start)) or ["a"]
     for _ in range(rng.randint(1, 2)):
-        options, _ = neighbors(sigma, cur, bounds, pool)
+        # the same draw as over neighbors(), building only the Term it keeps
+        options, _ = sorted_rewrites(sigma, cur, bounds, pool)
         if not options:
             break
-        cur = options[rng.randrange(len(options))][0]
+        cur = Term._of(options[rng.randrange(len(options))][0])
     return start, cur
 
 

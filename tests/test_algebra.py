@@ -15,8 +15,10 @@ from aisemiring.algebra import (
     registry,
     serialize_algebra,
     tables_valid,
+    valid_stack,
     validate,
 )
+from aisemiring.enumeration import enumerate_ai_semirings
 
 ALL_NAMES = ["S2", "S7", "S53", "S4_124", "S4_359", "R6"]
 
@@ -75,6 +77,39 @@ def random_table_pairs(seed: int, per_order: int):
                 t = a if rng.random() < 0.5 else m
                 t[rng.integers(k), rng.integers(k)] = rng.integers(k)
             yield a, m
+
+
+def loop_tables_valid(adds, muls) -> list[bool]:
+    """Reference stack check: one (k, k) pair at a time, with the axiom
+    masks as they were before the stacked check."""
+    out = []
+    for a, m in zip(adds, muls):
+        k = a.shape[0]
+        r, i = np.arange(k), np.arange(k)[:, None, None]
+        iu, ju = np.triu_indices(k, 1)
+        aij, ajl = a[:, :, None], a[None]
+        mij, mil, mjl = m[:, :, None], m[:, None, :], m[None]
+        masks = (
+            a.diagonal() != r, a[iu, ju] != a[ju, iu],
+            a[aij, r] != a[i, ajl], m[mij, r] != m[i, mjl],
+            m[i, ajl] != a[mij, mil], m[aij, r] != a[mil, mjl],
+        )
+        out.append(not any(mask.any() for mask in masks))
+    return out
+
+
+def random_stacks(seed: int, count: int):
+    """Seeded (adds, muls) stacks for k = 1..5 of up to 40 pairs drawn from
+    random_table_pairs, so valid and failing pairs sit at random places."""
+    rng = np.random.default_rng(seed)
+    pairs = {k: [] for k in range(1, 6)}
+    for a, m in random_table_pairs(seed, per_order=60):
+        pairs[a.shape[0]].append((a, m))
+    for n in range(count):
+        k = n % 5 + 1
+        picks = rng.integers(0, len(pairs[k]), rng.integers(1, 41))
+        yield (np.stack([pairs[k][p][0] for p in picks]),
+               np.stack([pairs[k][p][1] for p in picks]))
 
 
 class TestRegistry:
@@ -167,6 +202,81 @@ class TestValidate:
         bad[1, 1] = 2
         with pytest.raises(ValueError):
             FiniteAiSemiring("broken", S7.labels, bad, S7.mul)
+
+
+class TestStack:
+    def test_stack_check_matches_the_loop(self):
+        outcomes = set()
+        for adds, muls in random_stacks(seed=11, count=200):
+            ok = valid_stack(adds, muls)
+            assert ok.tolist() == loop_tables_valid(adds, muls)
+            assert [tables_valid(a, m) for a, m in zip(adds, muls)] == ok.tolist()
+            outcomes.update(ok.tolist())
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_census_stacks_pass(self, k):
+        algebras = enumerate_ai_semirings(k)
+        adds = np.stack([S.add for S in algebras])
+        muls = np.stack([S.mul for S in algebras])
+        assert valid_stack(adds, muls).all()
+        # swapping the tables breaks some pairs, and only those fail
+        assert valid_stack(muls, adds).tolist() == loop_tables_valid(muls, adds)
+
+    def test_stack_builds_what_the_constructor_builds(self):
+        algebras = enumerate_ai_semirings(3)
+        tables = np.stack([np.stack((S.add, S.mul)) for S in algebras])
+        names = [S.name for S in algebras]
+        built = FiniteAiSemiring.stack(names, ("1", "2", "3"), tables.astype(np.uint8))
+        assert built == [FiniteAiSemiring(S.name, S.labels, S.add, S.mul) for S in algebras]
+        assert all(S.add.dtype == S.mul.dtype == np.int64 for S in built)
+        with pytest.raises(ValueError):
+            built[0].mul[0, 0] = 1
+
+    def test_stack_names_the_first_failing_algebra(self):
+        rng = np.random.default_rng(5)
+        algebras = enumerate_ai_semirings(3)
+        labels = algebras[0].labels
+        base = np.stack([np.stack((S.add, S.mul)) for S in algebras])
+        names = [f"T{t}" for t in range(len(base))]
+        for _ in range(40):
+            tables = base.copy()
+            for t in rng.choice(len(tables), rng.integers(1, 4), replace=False):
+                # a cell whose change breaks an axiom
+                while True:
+                    cell = (t, rng.integers(2), rng.integers(3), rng.integers(3))
+                    old = tables[cell]
+                    tables[cell] = (old + rng.integers(1, 3)) % 3
+                    if not tables_valid(tables[t, 0], tables[t, 1]):
+                        break
+                    tables[cell] = old
+            first = loop_tables_valid(tables[:, 0], tables[:, 1]).index(False)
+            with pytest.raises(ValueError) as single:
+                FiniteAiSemiring(names[first], labels, tables[first, 0], tables[first, 1])
+            with pytest.raises(ValueError) as batch:
+                FiniteAiSemiring.stack(names, labels, tables)
+            assert str(batch.value) == str(single.value)
+            assert str(batch.value).startswith(f"T{first}: not an ai-semiring: ")
+
+    def test_stack_rejects_malformed_input(self):
+        tables = np.zeros((3, 2, 2, 2), np.int64)
+        tables[:, :, 1, 1] = 1
+        assert len(FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables)) == 3
+        assert FiniteAiSemiring.stack([], "xy", tables[:0]) == []
+        tables[2, 1, 0, 1] = 2
+        tables[1, 0, 1, 0] = -1
+        with pytest.raises(TableFormatError, match="addition table entry at row 1, column 0"):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables)
+        tables[1, 0, 1, 0] = 0
+        with pytest.raises(TableFormatError, match="multiplication table entry at row 0, column 1"):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables)
+        with pytest.raises(TableFormatError):
+            FiniteAiSemiring.stack(["a", "b"], "xy", tables)
+        with pytest.raises(TableFormatError):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables[:, 0])
+        tables[2, 1, 0, 1] = 0
+        with pytest.raises(TableFormatError, match="labels must be distinct"):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xx", tables)
 
 
 class TestNaturalOrder:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aisemiring import _kernels
+from aisemiring import _kernels, enumeration
 from aisemiring.algebra import registry, tables_valid, validate
 from aisemiring.enumeration import (
     classify_additive_type,
@@ -51,6 +51,14 @@ class TestSemilattices:
                 assert np.array_equal(table, table.T)
                 assert np.array_equal(np.diag(table), np.arange(k))
                 assert _kernels.canonical_table(table) == table.astype(np.uint8).tobytes()
+
+    def test_order_5_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_CENSUS_ORDER", 5)
+        tables = enumerate_semilattices(5)
+        assert len(tables) == 15 and all(t.dtype == np.int64 for t in tables)
+        assert hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest() == (
+            "2681f2ba7a49f1bb3be1e09957baded42c8fd5d9557edef1f97d26785e3dfbd4"
+        )
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -158,6 +166,14 @@ ORDER5 = {
 }
 
 
+#: SHA-256 of the concatenated canonical_pairs forms of each ORDER5 shape
+CANONICAL5 = {
+    "flat": "a4be42dd73ad3072ae9bf085301a8b1c4687d4cff3b32426d4cb65d189276c01",
+    "coatom3": "3e0885d8664c58b9d0a0d00b7e149208b3a19563cfd1cabeb5bf0e564a9b81a1",
+    "chain": "06e1e88f2ba9ce27439cb8c868e37823bb13d9cde9e92623656a0e0b6a4dee7e",
+}
+
+
 def automorphism_count(*tables):
     """Number of carrier permutations fixing every one of ``tables``."""
     tables = [np.asarray(t).tolist() for t in tables]
@@ -186,6 +202,12 @@ class TestCensus:
         assert muls.dtype == np.int64 and muls.shape == (count, 25)
         assert all(tables_valid(add, mul.reshape(5, 5)) for mul in muls)
         assert hashlib.sha256(muls.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape", ORDER5)
+    def test_order_5_canonical_forms_are_pinned(self, shape):
+        add = _kernels.unpack_table(_kernels.canonical_table(join_table(ORDER5[shape][0], 5)), 5)
+        forms = _kernels.canonical_pairs(add, _kernels.census_mul_tables(add))
+        assert hashlib.sha256(b"".join(forms)).hexdigest() == CANONICAL5[shape]
 
     @pytest.mark.parametrize("cells", [1, 7])
     def test_block_boundaries_leave_the_tables_unchanged(self, cells, monkeypatch):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from aisemiring import _kernels
+from aisemiring import _kernels, enumeration
 from aisemiring.algebra import registry
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_semilattices
 from aisemiring.satisfaction import _compiled
@@ -89,6 +89,52 @@ def _random_check(rng, nvars):
     return q, u, v
 
 
+def loop_least_relabelling(table):
+    """Reference least relabelling: the kernel as it was before the single
+    gather, one relabelled table per permutation and a Python min."""
+    arr = np.ascontiguousarray(table, dtype=np.int64)
+    k = arr.shape[0]
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    invs = np.argsort(perms, axis=1)
+    forms = [perm[arr[inv[:, None], inv[None, :]]].astype(np.uint8).tobytes()
+             for perm, inv in zip(perms, invs)]
+    least = min(forms)
+    reach = [form == least for form in forms]
+    return least, perms[reach], invs[reach]
+
+
+def loop_canonical_pairs(add, muls):
+    """Reference canonical forms: the kernel as it was before the uint8
+    gathers, relabelling int64 tables by fancy indexing, then casting."""
+    add = np.ascontiguousarray(add, dtype=np.int64)
+    k = add.shape[0]
+    muls = np.ascontiguousarray(muls, dtype=np.int64).reshape(-1, k, k)
+    if len(muls) == 0:
+        return []
+
+    def relabelled(perm, inv):
+        out = perm[muls[:, inv[:, None], inv[None, :]]]
+        return out.astype(np.uint8).reshape(len(muls), -1)
+
+    least_add, perms, invs = loop_least_relabelling(add)
+    best = relabelled(perms[0], invs[0])
+    rows = np.arange(len(muls))
+    for perm, inv in zip(perms[1:], invs[1:]):
+        cand = relabelled(perm, inv)
+        col = np.argmax(cand != best, axis=1)
+        less = cand[rows, col] < best[rows, col]
+        best[less] = cand[less]
+    return [least_add + row.tobytes() for row in best]
+
+
+def random_tables(rng, k, count):
+    """Seeded (k, k) tables: uniform, or with few distinct values, so that
+    ties between relabellings are common."""
+    for n in range(count):
+        high = k if n % 2 else rng.integers(1, k + 1)
+        yield rng.integers(0, high, (k, k))
+
+
 class TestScan:
     @pytest.mark.parametrize("name,nvars", [
         ("order2", 17), ("S7", 11), ("S53", 11), ("S4_124", 9),
@@ -142,7 +188,7 @@ class TestCanonicalForms:
     def test_pack_unpack_round_trip(self):
         S = registry("S4_359")
         form = _kernels.canonical_pair(S.add, S.mul)
-        add, mul = _kernels.unpack_pair(form, 4)
+        add, mul = np.frombuffer(form, dtype=np.uint8).reshape(2, 4, 4)
         assert _kernels.canonical_pair(add, mul) == form
 
     def test_canonical_table_is_a_fixed_point(self):
@@ -173,3 +219,33 @@ class TestCanonicalForms:
             assert form == L.astype(np.uint8).tobytes()
             assert sorted(tuple(int(p[s]) for s in sigma) for p in found) == auts
             assert all(np.array_equal(inv[p], np.arange(k)) for p, inv in zip(found, inverses))
+
+    def test_least_relabelling_matches_the_loop(self):
+        rng = np.random.default_rng(17)
+        tables = [t for k in range(1, 6) for t in random_tables(rng, k, 200)]
+        tables += [L for k in range(1, 5) for L in enumerate_semilattices(k)]
+        for table in tables:
+            form, perms, invs = _kernels._least_relabelling(table)
+            want, want_perms, want_invs = loop_least_relabelling(table)
+            assert form == want
+            assert perms.dtype == invs.dtype == np.int64
+            assert np.array_equal(perms, want_perms) and np.array_equal(invs, want_invs)
+
+    def test_canonical_pairs_matches_the_loop_on_every_census(self, monkeypatch):
+        # every semilattice of order <= 5, so the three order-5 shapes of the
+        # census workload among them, with its whole multiplication census
+        monkeypatch.setattr(enumeration, "MAX_CENSUS_ORDER", 5)
+        for k in range(1, 6):
+            for add in enumerate_semilattices(k):
+                muls = _kernels.census_mul_tables(add)
+                assert _kernels.canonical_pairs(add, muls) == loop_canonical_pairs(add, muls)
+
+    def test_canonical_pairs_matches_the_loop_on_random_tables(self):
+        # any square tables have canonical forms, valid or not; some add
+        # tables have many automorphisms, so several permutations compete
+        rng = np.random.default_rng(29)
+        for k in range(1, 6):
+            for add in random_tables(rng, k, 30):
+                muls = np.stack(list(random_tables(rng, k, int(rng.integers(1, 40)))))
+                assert _kernels.canonical_pairs(add, muls) == loop_canonical_pairs(add, muls)
+        assert _kernels.canonical_pairs(np.zeros((2, 2)), np.zeros((0, 4))) == []

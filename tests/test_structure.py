@@ -76,6 +76,19 @@ class TestCongruence:
         assert P.block_of[S.mul[0, 1]] == P.block_of[S.mul[2, 1]]
         assert P.block_of[S.mul[1, 0]] != P.block_of[S.mul[1, 2]]
 
+    def test_witness_names_its_side(self, S7):
+        [S] = [S for S in enumerate_ai_semirings(3) if S.name == "A3_006"]
+        P = Partition.closing([[0, 2]], 3)
+        assert is_congruence(S, P).side == "left"
+        with pytest.raises(ValueError, match="but mul with 2 on the left separates them"):
+            quotient(S, P)
+        # in S7 with 0 ~ 1, 0*a and 1*a fall in different blocks
+        v = is_congruence(S7, Partition.closing([[0, 2]], 3))
+        op, a, b, c = v.witness
+        assert v.side == "right"
+        assert P.block_of[S7.mul[a, c]] != P.block_of[S7.mul[b, c]]
+        assert is_congruence(S7, Partition.discrete(3)).side is None
+
 
 class TestQuotient:
     def test_s4_124_mod_rho_is_s7(self, S4_124, S7):
