@@ -24,7 +24,8 @@ prefix of digits as Python ints, prefixes taken in lexicographic order, and
 the broadcast runs over the trailing axes, at most SLAB_CELLS cells, so
 memory stays bounded whatever the number of variables. Cells are searched
 in C order, so the first failing cell is the lexicographically least
-counterexample; the scan returns it with the values of both sides there.
+counterexample; the scan returns it with the values of both sides there,
+read off the arrays the slab already evaluated.
 
 Table/assignment conventions:
   * an assignment is a tuple of digits in range(k), one per variable in a
@@ -99,9 +100,9 @@ def first_violation(add, mul, term_a, term_b, nvars, mode):
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
             cell = np.unravel_index(np.argmin(np.broadcast_to(ok, shape)), shape)
-            digits = prefix + tuple(map(int, cell))
-            return (digits, int(_eval_term(add, mul, term_a, digits)),
-                    int(_eval_term(add, mul, term_b, digits)))
+            return (prefix + tuple(map(int, cell)),
+                    int(np.broadcast_to(va, shape)[cell]),
+                    int(np.broadcast_to(vb, shape)[cell]))
     return None
 
 

@@ -8,8 +8,8 @@ The axioms are checked in one place: ``_failure_masks`` takes (N, k, k)
 stacks of tables and yields one numpy failure mask per axiom family over the
 whole stack. ``valid_stack`` and ``FiniteAiSemiring.stack`` check a stack in
 one call; ``tables_valid``, ``validate`` and the constructor check one pair
-as a stack of one. ``tables_valid`` stops at the first family that fails;
-``validate`` reads its witnesses from the same masks.
+as a stack of one, and ``validate`` reads its witnesses from the same
+masks.
 """
 
 from __future__ import annotations
@@ -156,12 +156,6 @@ def validate(add, mul) -> ValidationReport:
     return ValidationReport(not found, tuple(found[:MAX_VIOLATION_WITNESSES]), truncated)
 
 
-def tables_valid(add: np.ndarray, mul: np.ndarray) -> bool:
-    """Fast all-or-nothing axiom check of one pair of (k, k) tables (no
-    witnesses): stops at the first family that fails."""
-    return not any(mask.any() for mask in _failure_masks(add[None], mul[None]))
-
-
 def valid_stack(adds: np.ndarray, muls: np.ndarray) -> np.ndarray:
     """Per table pair of two (N, k, k) stacks, whether it satisfies every
     axiom family; one check for the whole stack."""
@@ -169,6 +163,12 @@ def valid_stack(adds: np.ndarray, muls: np.ndarray) -> np.ndarray:
     for mask in _failure_masks(adds, muls):
         ok &= ~mask.any(axis=tuple(range(1, mask.ndim)))
     return ok
+
+
+def tables_valid(add: np.ndarray, mul: np.ndarray) -> bool:
+    """All-or-nothing axiom check of one pair of (k, k) tables, no
+    witnesses."""
+    return bool(valid_stack(add[None], mul[None])[0])
 
 
 def _checked(names, labels, adds, muls):

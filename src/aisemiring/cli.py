@@ -104,7 +104,7 @@ def _load_algebra(spec: str) -> FiniteAiSemiring:
         return parse_algebra(_read_text(spec))
     except AlgebraSyntaxError as exc:
         raise _usage(f"{spec}: {exc}") from None
-    except (TableFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise _semantic(f"{spec}: {exc}") from None
 
 
@@ -112,20 +112,14 @@ def _parse_inequality(text: str) -> tuple[Word, Term]:
     if "<=" not in text:
         raise _usage(f"inequality needs '<=': {text!r}")
     lhs, rhs = text.split("<=", 1)
-    try:
-        return parse_word(lhs), parse_term(rhs)
-    except TermSyntaxError as exc:
-        raise _usage(str(exc)) from None
+    return parse_word(lhs), parse_term(rhs)
 
 
 def _parse_identity(text: str) -> tuple[Term, Term]:
     if "<=" in text or "=" not in text:
         raise _usage(f"identity needs a single '=': {text!r}")
     lhs, rhs = text.split("=", 1)
-    try:
-        return parse_term(lhs), parse_term(rhs)
-    except TermSyntaxError as exc:
-        raise _usage(str(exc)) from None
+    return parse_term(lhs), parse_term(rhs)
 
 
 def _parse_labels(S: FiniteAiSemiring, text: str) -> list[int]:
@@ -200,15 +194,12 @@ def cmd_holds(args) -> int:
     S = _load_algebra(args.algebra)
     if (args.ineq is None) == (args.id is None):
         raise _usage("exactly one of --ineq or --id is required")
-    try:
-        if args.ineq is not None:
-            q, u = _parse_inequality(args.ineq)
-            v = holds_inequality(S, q, u, force=args.force)
-        else:
-            u, w = _parse_identity(args.id)
-            v = holds_identity(S, u, w, force=args.force)
-    except VariableBudgetError as exc:
-        raise _semantic(str(exc)) from None
+    if args.ineq is not None:
+        q, u = _parse_inequality(args.ineq)
+        v = holds_inequality(S, q, u, force=args.force)
+    else:
+        u, w = _parse_identity(args.id)
+        v = holds_identity(S, u, w, force=args.force)
     return _emit_verdict(v, S, args.json)
 
 
@@ -224,9 +215,8 @@ def cmd_decide(args) -> int:
         try:
             want = holds_inequality(registry(registry_name), q, u).holds
         except VariableBudgetError as exc:
-            budget = str(exc).partition(";")[0]
             raise _semantic(
-                f"--oracle: {budget}; decide has no --force, run "
+                f"--oracle: {exc.budget}; decide has no --force, run "
                 f"aisemiring holds {registry_name} --ineq \"{payload['inequality']}\" --force"
             ) from None
         agrees = got == want
@@ -244,10 +234,7 @@ def cmd_decide(args) -> int:
 
 def cmd_family(args) -> int:
     S = _load_algebra(args.algebra)
-    try:
-        verdicts = in_W(S, args.nmax, force=args.force)
-    except VariableBudgetError as exc:
-        raise _semantic(str(exc)) from None
+    verdicts = in_W(S, args.nmax, force=args.force)
     if args.json:
         print(json.dumps({
             "algebra": S.name,
@@ -541,8 +528,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except TermSyntaxError as exc:
+        message, code = str(exc), USAGE_ERROR
+    except VariableBudgetError as exc:
+        message, code = str(exc), SEMANTIC_ERROR
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

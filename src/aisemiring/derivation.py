@@ -319,9 +319,15 @@ def _step(rule: Identity, forward: bool, left: Letters, right: Letters,
 def sorted_rewrites(sigma: list[Identity], t: Term, bounds: SearchBounds,
                     image_pool: list[Variable]):
     """The one-step rewrites of t as (sort key of the next term, witnesses),
-    sorted by key, stably, plus the number pruned for exceeding the bounds;
-    see :func:`neighbors`. Turning a key into a Term and its witnesses into
-    a DerivationStep is left to the caller, for the rewrites it keeps."""
+    one per rule application, plus the number pruned for exceeding the
+    bounds.
+
+    Each rule is tried in both orientations; variables of the target side
+    that the match leaves unbound are instantiated from ``image_pool``.
+    The list is sorted by key, stably, so the result is deterministic and
+    a term reached in several ways appears once per way. Turning a key into
+    a Term and its witnesses into a DerivationStep is left to the caller,
+    for the rewrites it keeps."""
     found = []
     pruned = 0
     for rewrite in _rewrites(_orientations(sigma), t.sort_key(), bounds, image_pool):
@@ -334,20 +340,6 @@ def sorted_rewrites(sigma: list[Identity], t: Term, bounds: SearchBounds,
     return found, pruned
 
 
-def neighbors(sigma: list[Identity], t: Term, bounds: SearchBounds,
-              image_pool: list[Variable]):
-    """One-step rewrites of t: every (next_term, step) one rule application
-    away, plus the number of rewrites pruned for exceeding the bounds.
-
-    Each rule is tried in both orientations; variables of the target side
-    that the match leaves unbound are instantiated from ``image_pool``.
-    The list is sorted by term, stably, so the result is deterministic and
-    a term reached in several ways appears once per way.
-    """
-    found, pruned = sorted_rewrites(sigma, t, bounds, image_pool)
-    return [(Term._of(key), _step(*witnesses)) for key, witnesses in found], pruned
-
-
 def search_derivation(sigma: list[Identity], claim: Identity,
                       bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Breadth-first search for a derivation of the claim within bounds.
@@ -357,7 +349,7 @@ def search_derivation(sigma: list[Identity], claim: Identity,
     Substitution images are searched over single words (at most
     max_subst_image letters each).
 
-    Terms are visited in the order of the sorted :func:`neighbors` lists,
+    Terms are visited in the order of the sorted :func:`sorted_rewrites` lists,
     each reached by the first rewrite that gives it. The search keeps terms
     as raw letter tuples and builds Terms and DerivationSteps only for the
     chain it returns.

@@ -65,9 +65,8 @@ def in_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_N_WITHOUT_FORCE and not force:
         raise VariableBudgetError(
-            f"n_max={n_max} needs {2 * n_max + 3} variables; pass force=True "
-            "(CLI: --force) to go beyond n_max="
-            f"{MAX_N_WITHOUT_FORCE}"
+            f"n_max={n_max} needs {2 * n_max + 3} variables",
+            f"pass force=True (CLI: --force) to go beyond n_max={MAX_N_WITHOUT_FORCE}",
         )
     out = []
     for n in range(1, n_max + 1):
@@ -76,6 +75,5 @@ def in_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
     return out
 
 
-def member_of_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
-                force: bool = False) -> bool:
-    return all(v.holds for v in in_W(S, n_max, force=force))
+def member_of_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE) -> bool:
+    return all(v.holds for v in in_W(S, n_max))

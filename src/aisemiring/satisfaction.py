@@ -35,7 +35,14 @@ GUARD_LIMIT = 4 ** 16
 
 
 class VariableBudgetError(RuntimeError):
-    """Assignment space too large; pass force=True to run anyway."""
+    """Assignment space too large; pass force=True to run anyway.
+
+    The message is ``budget``, the clause naming what is over the budget,
+    then ``; `` and what to do about it."""
+
+    def __init__(self, budget: str, remedy: str):
+        super().__init__(f"{budget}; {remedy}")
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,8 @@ def _compiled(words: Iterable[Word], var_index: dict[Variable, int]) -> tuple[tu
 def _guard(k: int, nvars: int, force: bool) -> None:
     if not force and k ** nvars > GUARD_LIMIT:
         raise VariableBudgetError(
-            f"{k}^{nvars} assignments exceed the budget of {GUARD_LIMIT}; "
-            "pass force=True (CLI: --force) to run anyway"
+            f"{k}^{nvars} assignments exceed the budget of {GUARD_LIMIT}",
+            "pass force=True (CLI: --force) to run anyway",
         )
 
 

@@ -158,10 +158,6 @@ def quotient(S: FiniteAiSemiring, P: Partition) -> FiniteAiSemiring:
     return FiniteAiSemiring(name, labels, add, mul)
 
 
-def quotient_map(S: FiniteAiSemiring, P: Partition) -> Homomorphism:
-    return Homomorphism(S, quotient(S, P), P.block_of)
-
-
 class ClosureError(ValueError):
     """Subset not closed under an operation; carries the witnessing pair."""
 

@@ -36,6 +36,12 @@ from .terms import Term, Word, content, delta, occ, parse_term
 
 _SEED = 20250806
 
+#: how many random cases each sampled claim draws
+ORACLE_INEQUALITIES = 10_000
+DELTA_TERMS = 400
+GRAPH_CASES = 1000
+SOUNDNESS_SEARCHES = 1000
+
 
 @dataclass
 class ClaimResult:
@@ -189,18 +195,17 @@ def _random_term(rng: random.Random, variables, max_summands: int, max_len: int)
                 for _ in range(rng.randint(1, max_summands)))
 
 
-def random_inequality(rng: random.Random, variables=("x", "y", "z", "w"),
-                      max_summands: int = 4, max_len: int = 4):
-    q = _random_word(rng, variables, max_len)
-    return q, _random_term(rng, variables, max_summands, max_len)
+def random_inequality(rng: random.Random, variables=("x", "y", "z", "w")):
+    q = _random_word(rng, variables, 4)
+    return q, _random_term(rng, variables, 4, 4)
 
 
-def claim_decider_oracle(count: int = 10_000):
+def claim_decider_oracle():
     rng = random.Random(_SEED)
     algebras = {name: registry(name) for name in DECIDERS}
     mismatches = 0
     first = None
-    for _ in range(count):
+    for _ in range(ORACLE_INEQUALITIES):
         q, u = random_inequality(rng)
         for name, decider in DECIDERS.items():
             got = decider(q, u)
@@ -209,7 +214,7 @@ def claim_decider_oracle(count: int = 10_000):
                 mismatches += 1
                 if first is None:
                     first = f"{name}: {q} <= {u} decider={got} oracle={want}"
-    expected = f"0 discrepancies on {count} inequalities x {len(DECIDERS)} deciders"
+    expected = f"0 discrepancies on {ORACLE_INEQUALITIES} inequalities x {len(DECIDERS)} deciders"
     observed = expected if mismatches == 0 else f"{mismatches} discrepancies ({first})"
     return expected, observed
 
@@ -232,19 +237,19 @@ def delta_by_enumeration(u: Term) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
-def claim_delta(count: int = 400):
+def claim_delta():
     for n in range(1, 11):
         if delta(make_family(n).u) != frozenset():
             return "empty delta for family n=1..10", f"nonempty delta at n={n}"
     rng = random.Random(_SEED + 1)
-    for i in range(count):
+    for _ in range(DELTA_TERMS):
         u = _random_term(rng, ("a", "b", "c", "d", "e"), 4, 4)
         if delta(u) != delta_by_enumeration(u):
             return (
                 "delta matches the subset-enumeration oracle",
                 f"mismatch on {u}",
             )
-    expected = f"family deltas empty and {count} random terms match the oracle"
+    expected = f"family deltas empty and {DELTA_TERMS} random terms match the oracle"
     return expected, expected
 
 
@@ -255,10 +260,10 @@ def _random_bipartite(rng: random.Random):
         (a, b) for a in left for b in right if rng.random() < 0.4
     ]
     H = frozenset(v for v in left if rng.random() < 0.5)
-    return make_graph(edges, left + right), H, left
+    return make_graph(edges, left + right), H
 
 
-def claim_graphs(count: int = 1000):
+def claim_graphs():
     for n in range(1, 6):
         g = graph_of(make_family(n).u)
         cyc = find_odd_cycle(g)
@@ -268,8 +273,8 @@ def claim_graphs(count: int = 1000):
                 f"n={n}: cycle {cyc}",
             )
     rng = random.Random(_SEED + 2)
-    for i in range(count):
-        G, H, left = _random_bipartite(rng)
+    for i in range(GRAPH_CASES):
+        G, H = _random_bipartite(rng)
         Y, Z = constrained_bipartition(G, H)
         if not H <= Y:
             return "constrained bipartition keeps H inside Y", f"case {i}: H not in Y"
@@ -314,7 +319,7 @@ def claim_graphs(count: int = 1000):
                 )
                 if not ok:
                     return "odd path witness is valid", f"case {i}: bad witness {path}"
-    expected = f"family odd cycles sized 2n+1 and {count} random instances behave"
+    expected = f"family odd cycles sized 2n+1 and {GRAPH_CASES} random instances behave"
     return expected, expected
 
 
@@ -379,7 +384,7 @@ def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
     cur = start
     pool = sorted(content(start)) or ["a"]
     for _ in range(rng.randint(1, 2)):
-        # the same draw as over neighbors(), building only the Term it keeps
+        # one draw over the sorted rewrites, building only the Term it keeps
         options, _ = sorted_rewrites(sigma, cur, bounds, pool)
         if not options:
             break
@@ -392,7 +397,7 @@ SOUNDNESS_BOUNDS = SearchBounds(max_chain=4, max_word_len=5, max_summands=5,
                                 max_subst_image=3)
 
 
-def claim_derivation_soundness(count: int = 1000):
+def claim_derivation_soundness():
     rng = random.Random(_SEED + 3)
     pool = (
         enumerate_ai_semirings(1)
@@ -401,7 +406,7 @@ def claim_derivation_soundness(count: int = 1000):
         + [registry("S4_124"), registry("S4_359")]
     )
     found = 0
-    for i in range(count):
+    for i in range(SOUNDNESS_SEARCHES):
         sigma = _random_sigma(rng)
         claim = _random_reachable_claim(rng, sigma, SOUNDNESS_BOUNDS)
         result = search_derivation(sigma, claim, SOUNDNESS_BOUNDS)
@@ -423,8 +428,8 @@ def claim_derivation_soundness(count: int = 1000):
                         f"case {i}: {S.name} satisfies sigma but not the claim",
                     )
     expected = "all found derivations check and are sound on sampled models"
-    if found < count // 2:
-        return expected, f"only {found}/{count} searches found a derivation"
+    if found < SOUNDNESS_SEARCHES // 2:
+        return expected, f"only {found}/{SOUNDNESS_SEARCHES} searches found a derivation"
     return expected, expected
 
 
@@ -466,7 +471,8 @@ CLAIM_TABLE = {
         claim_family_brute_force,
     ),
     "decider-oracle": (
-        "syntactic deciders agree with brute force on 10,000 inequalities",
+        f"syntactic deciders agree with brute force on {ORACLE_INEQUALITIES:,} "
+        "inequalities",
         30.0,
         False,
         claim_decider_oracle,
@@ -517,11 +523,9 @@ OUT_OF_SCOPE = {
 }
 
 
-def run_claims(full: bool = False, only: set[str] | None = None) -> RunReport:
+def run_claims(full: bool = False) -> RunReport:
     claims: list[ClaimResult] = []
     for claim_id, (desc, budget, needs_full, runner) in CLAIM_TABLE.items():
-        if only is not None and claim_id not in only:
-            continue
         if needs_full and not full:
             claims.append(
                 ClaimResult(claim_id, desc, "skipped", "", "needs --full", 0.0)
@@ -541,13 +545,9 @@ def run_claims(full: bool = False, only: set[str] | None = None) -> RunReport:
         claims.append(
             ClaimResult(claim_id, desc, status, expected, observed, seconds)
         )
-    if only is None:
-        for claim_id, desc in OUT_OF_SCOPE.items():
-            claims.append(
-                ClaimResult(
-                    claim_id, desc, "skipped", "",
-                    "out of scope: not machine-checkable", 0.0,
-                )
-            )
+    for claim_id, desc in OUT_OF_SCOPE.items():
+        claims.append(
+            ClaimResult(claim_id, desc, "skipped", "", "out of scope: not machine-checkable", 0.0)
+        )
     cmd = "paper-verify --full" if full else "paper-verify"
     return RunReport(cmd, claims)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -79,6 +82,24 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert "empty" in err
+
+    def test_python_dash_m(self, tmp_path):
+        # the package's __main__ runs the same CLI in a fresh interpreter
+        good, bad = tmp_path / "s7.alg", tmp_path / "empty.alg"
+        good.write_text(serialize_algebra(registry("S7")))
+        bad.write_text("")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        results = [
+            subprocess.run([sys.executable, "-m", "aisemiring", "validate", str(path)],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for path in (good, bad)
+        ]
+        assert (results[0].returncode, results[0].stdout, results[0].stderr) == (
+            0, "S7: valid ai-semiring of order 3\n", "")
+        assert (results[1].returncode, results[1].stdout) == (2, "")
+        assert results[1].stderr == f"error: {bad}: empty algebra file\n"
 
 
 class TestHolds:
@@ -547,10 +568,10 @@ class TestPaperVerify:
             return "done", "done"
 
         monkeypatch.setattr(verify, "CLAIM_TABLE", {"slow": ("sleeps", 0.001, False, slow)})
-        (claim,) = verify.run_claims(only={"slow"}).claims
+        claim, _out_of_scope = verify.run_claims().claims
         assert claim.status == "fail"
         assert claim.observed.startswith("done (took ")
         assert claim.observed.endswith("s, over its 0.001s budget)")
         monkeypatch.setattr(verify, "CLAIM_TABLE", {"slow": ("sleeps", 60.0, False, slow)})
-        (claim,) = verify.run_claims(only={"slow"}).claims
+        claim, _out_of_scope = verify.run_claims().claims
         assert (claim.status, claim.observed) == ("pass", "done")

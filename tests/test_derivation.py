@@ -13,10 +13,11 @@ from aisemiring.derivation import (
     SearchResult,
     check_derivation,
     check_step,
+    _step,
     format_derivation,
-    neighbors,
     parse_derivation,
     search_derivation,
+    sorted_rewrites,
 )
 from aisemiring.terms import Substitution, Term, Word, content, parse_term, parse_word, wrap
 from aisemiring.verify import SOUNDNESS_BOUNDS, _random_reachable_claim, _random_sigma
@@ -344,6 +345,12 @@ def reference_subsets(words, cap=3):
         yield frozenset(ws)
 
 
+def neighbors(sigma, t, bounds, image_pool):
+    """sorted_rewrites with each key made a Term and its witnesses a step."""
+    found, pruned = sorted_rewrites(sigma, t, bounds, image_pool)
+    return [(Term._of(key), _step(*witnesses)) for key, witnesses in found], pruned
+
+
 def reference_neighbors(sigma, t, bounds, image_pool):
     """Every candidate built as Term, Substitution and DerivationStep, then
     one stable sort by term."""
@@ -459,7 +466,7 @@ class TestAgainstObjectSearch:
 
     def test_duplicates_kept_by_neighbors(self):
         # x = x + x rewrites ab + abab to the same term in several ways;
-        # neighbors lists each way, in the order it was generated
+        # sorted_rewrites lists each way, in the order it was generated
         sigma = [identity("x = xx"), identity("x + xy = x")]
         term = t("ab + abab")
         ours = neighbors(sigma, term, SOUNDNESS_BOUNDS, ["a", "b"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aisemiring.algebra import registry
+from aisemiring.family import in_W
 from aisemiring.satisfaction import (
     GUARD_LIMIT,
     VariableBudgetError,
@@ -97,6 +98,18 @@ class TestBruteForce:
         assert 4 ** 17 > GUARD_LIMIT
         with pytest.raises(VariableBudgetError):
             holds_inequality(S4_124, w("x1"), u)
+
+    def test_budget_is_the_first_clause_of_the_message(self, S2, S4_124):
+        # callers that reword the error read the budget, not the text
+        u = Term([Word([f"x{i}" for i in range(1, 18)])])
+        with pytest.raises(VariableBudgetError) as exc:
+            holds_inequality(S4_124, w("x1"), u)
+        assert exc.value.budget == "4^17 assignments exceed the budget of 4294967296"
+        with pytest.raises(VariableBudgetError) as family_exc:
+            in_W(S2, 4)
+        assert family_exc.value.budget == "n_max=4 needs 11 variables"
+        for error in (exc.value, family_exc.value):
+            assert error.budget == str(error).split(";")[0]
 
     def test_force_overrides_the_guard(self, S2, monkeypatch):
         import aisemiring.satisfaction as sat

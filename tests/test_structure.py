@@ -18,7 +18,6 @@ from aisemiring.structure import (
     find_isomorphism,
     is_congruence,
     quotient,
-    quotient_map,
     subalgebra,
 )
 
@@ -109,7 +108,8 @@ class TestQuotient:
             quotient(S7, Partition.closing([[0, 2]], 3))
 
     def test_block_map_is_surjective_homomorphism(self, S4_124):
-        h = quotient_map(S4_124, Partition.closing([[0, 1]], 4))
+        P = Partition.closing([[0, 1]], 4)
+        h = Homomorphism(S4_124, quotient(S4_124, P), P.block_of)
         assert h.is_valid()
         assert set(h.map) == set(range(h.target.order))
 
