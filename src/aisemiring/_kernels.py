@@ -100,10 +100,17 @@ def first_violation(add, mul, term_a, term_b, nvars, mode):
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
             cell = np.unravel_index(np.argmin(np.broadcast_to(ok, shape)), shape)
-            return (prefix + tuple(map(int, cell)),
-                    int(np.broadcast_to(va, shape)[cell]),
-                    int(np.broadcast_to(vb, shape)[cell]))
+            cell = tuple(map(int, cell))
+            return prefix + cell, _value_at(va, cell), _value_at(vb, cell)
     return None
+
+
+def _value_at(values, cell):
+    """The value at a cell of the slab of one side's values, which has
+    length 1 along the axes of variables the side does not use, or is a
+    scalar when it uses none of the slab's variables."""
+    index = tuple(c if n > 1 else 0 for c, n in zip(cell, np.shape(values)))
+    return int(np.asarray(values)[index])
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ class Term:
         return w in set(self.words)
 
     def __add__(self, other: "Term") -> "Term":
-        return Term._of_letters(w.letters for w in self.words + other.words)
+        return Term(self.words + other.words)
 
     def __mul__(self, other: "Term") -> "Term":
         return Term._of_letters(
