@@ -86,12 +86,12 @@ def _eval_term(add, mul, term, operands):
 
 def first_violation(add, mul, term_a, term_b, nvars, mode):
     """The least assignment violating the check, as (digits, value_a,
-    value_b), or None when every assignment passes."""
+    value_b), or None when every assignment passes. Every variable must
+    occur in term_a or term_b, so that a slab's check has the slab's shape."""
     k = add.shape[0]
     r = nvars
     while k ** r > SLAB_CELLS:
         r -= 1
-    shape = (k,) * r
     axes = _axes(k, r)
     for prefix in itertools.product(range(k), repeat=nvars - r):
         operands = [*prefix, *axes]
@@ -99,7 +99,7 @@ def first_violation(add, mul, term_a, term_b, nvars, mode):
         vb = _eval_term(add, mul, term_b, operands)
         ok = (va == vb) if mode == 1 else (add[va, vb] == va)
         if not ok.all():
-            cell = np.unravel_index(np.argmin(np.broadcast_to(ok, shape)), shape)
+            cell = np.unravel_index(np.argmin(ok), ok.shape)
             cell = tuple(map(int, cell))
             return prefix + cell, _value_at(va, cell), _value_at(vb, cell)
     return None

@@ -396,12 +396,13 @@ def parse_algebra_raw(text: str) -> tuple[str, tuple[str, ...], list[list[int]],
 
     if not rows:
         raise AlgebraSyntaxError("empty algebra file")
+    last = rows[-1][0]  # where an error at the end of the file is reported
     pos = 0
 
     def expect(keyword: str, arity: int | None) -> tuple[int, list[str]]:
         nonlocal pos
         if pos >= len(rows):
-            raise AlgebraSyntaxError(f"unexpected end of file, expected {keyword!r}")
+            raise AlgebraSyntaxError(f"unexpected end of file, expected {keyword!r}", last)
         lineno, fields = rows[pos]
         pos += 1
         if fields[0] != keyword:
@@ -430,8 +431,8 @@ def parse_algebra_raw(text: str) -> tuple[str, tuple[str, ...], list[list[int]],
         for _ in range(k):
             if pos >= len(rows):
                 raise AlgebraSyntaxError(
-                    f"table/label arity mismatch: {keyword!r} table needs {k} rows"
-                )
+                    f"table/label arity mismatch: {keyword!r} table needs {k} rows, "
+                    f"found {len(table)}", last)
             lineno, fields = rows[pos]
             pos += 1
             if len(fields) != k:

@@ -311,7 +311,7 @@ def _step(rule: Identity, forward: bool, left: Letters, right: Letters,
         right=right,
         remainder=Term._of_letters(kept) if kept else None,
         subst=Substitution._of(
-            {v: Term._of(((len(img), img),)) for v, img in binding.items()}
+            {v: Term._of_letters((img,)) for v, img in binding.items()}
         ),
     )
 
@@ -409,7 +409,7 @@ def _chain_to(sigma: list[Identity], back, key: TermKey) -> Derivation:
     chain: list[Term] = []
     steps: list[DerivationStep] = []
     while True:
-        chain.append(Term._of(key))
+        chain.append(Term._of_letters(letters for _, letters in key))
         entry = back[frozenset(letters for _, letters in key)]
         if entry is None:
             break
@@ -455,10 +455,12 @@ def parse_derivation(text: str) -> Derivation:
     chain: list[Term] = []
     raw_steps: list[tuple[int, str]] = []
     section = None
+    last = None  # the last content line, where errors at the end are reported
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
+        last = lineno
         if line == "sigma:":
             section = "sigma"
             continue
@@ -478,10 +480,10 @@ def parse_derivation(text: str) -> Derivation:
         else:
             raise DerivationSyntaxError(f"unexpected content {line!r}", lineno)
     if not chain:
-        raise DerivationSyntaxError("no chain section")
+        raise DerivationSyntaxError("no chain section", last)
     if len(raw_steps) != len(chain) - 1:
         raise DerivationSyntaxError(
-            f"{len(raw_steps)} step lines for a chain of {len(chain)} terms"
+            f"{len(raw_steps)} step lines for a chain of {len(chain)} terms", last
         )
     steps = [_parse_step(body, lineno, sigma) for lineno, body in raw_steps]
     return Derivation(sigma, chain, steps)

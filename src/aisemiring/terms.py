@@ -9,8 +9,9 @@ Variable names are a single letter followed by optional digits ("x", "x1",
 "y12"), which makes juxtaposed words such as ``x1x2`` tokenize uniquely.
 Names are checked at the boundary only: the parsers and the public ``Word``,
 ``Term`` and ``Substitution`` constructors. Library code that already holds
-valid, canonical letter tuples builds objects through the private ``_of``
-constructors, which skip the check.
+valid letter tuples builds objects through the one trusted constructor of
+each type, which skips the check: ``Word._of``, ``Term._of_letters`` and
+``Substitution._of``.
 """
 
 from __future__ import annotations
@@ -105,19 +106,14 @@ class Term:
         self._key = None
 
     @classmethod
-    def _of(cls, key: TermKey) -> "Term":
-        """Trusted constructor from a sort key: nonempty, sorted, no
-        duplicates, valid names."""
-        t = object.__new__(cls)
-        t.words = tuple(Word._of(letters) for _, letters in key)
-        t._key = key
-        return t
-
-    @classmethod
     def _of_letters(cls, words: Iterable[tuple[Variable, ...]]) -> "Term":
         """Trusted constructor from a nonempty collection of letter tuples
-        of valid names, in any order and possibly repeated."""
-        return cls._of(term_key(words))
+        of valid names, in any order and possibly repeated. Like __init__,
+        it leaves the sort key to sort_key(): most terms are never compared."""
+        t = object.__new__(cls)
+        t.words = tuple(Word._of(letters) for _, letters in term_key(words))
+        t._key = None
+        return t
 
     def sort_key(self) -> TermKey:
         key = self._key
@@ -322,20 +318,17 @@ class Substitution:
         phi.mapping = mapping
         return phi
 
-    def image_of(self, x: Variable) -> Term:
-        img = self.mapping.get(x)
-        return img if img is not None else Term._of(((1, (x,)),))
-
     def __call__(self, item: Word | Term) -> Term:
-        if isinstance(item, Word):
-            result = self.image_of(item.letters[0])
-            for x in item.letters[1:]:
-                result = result * self.image_of(x)
-            return result
-        out = self(item.words[0])
-        for w in item.words[1:]:
-            out = out + self(w)
-        return out
+        # each summand's image grows a letter at a time, collapsing duplicates
+        out: set[tuple[Variable, ...]] = set()
+        for w in (item,) if isinstance(item, Word) else item.words:
+            image = {()}
+            for x in w.letters:
+                img = self.mapping.get(x)
+                ends = ((x,),) if img is None else [b.letters for b in img.words]
+                image = {a + b for a in image for b in ends}
+            out |= image
+        return Term._of_letters(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self.mapping == other.mapping
@@ -370,8 +363,10 @@ def wrap(t: Term, left: tuple[Variable, ...] = (), right: tuple[Variable, ...] =
     """Build ``left . t . right + rest`` with possibly-empty word contexts."""
     for x in left + right:
         check_variable(x)
-    wrapped = Term._of_letters(left + w.letters + right for w in t.words)
-    return wrapped if rest is None else wrapped + rest
+    words = [left + w.letters + right for w in t.words]
+    if rest is not None:
+        words += [w.letters for w in rest.words]
+    return Term._of_letters(words)
 
 
 def is_subterm(u: Term, v: Term) -> SubtermWitness | None:
@@ -382,19 +377,20 @@ def is_subterm(u: Term, v: Term) -> SubtermWitness | None:
     into some word of v.
     """
     anchor = u.words[0].letters
-    v_words = set(v.words)
-    # each context is tried once: with the anchor, (left, right) fixes the
-    # host word left + anchor + right and the offset, and v's words differ
+    v_words = {w.letters for w in v.words}
+    # v's words are tried in sorted order, so the least host word gives the
+    # witness; each context is tried once, as with the anchor it fixes the
+    # host word and the offset, and v's words differ
     for x in v.words:
         ls = x.letters
         for i in range(len(ls) - len(anchor) + 1):
             if ls[i : i + len(anchor)] != anchor:
                 continue
             left, right = ls[:i], ls[i + len(anchor):]
-            image = {Word._of(left + w.letters + right) for w in u.words}
+            image = {left + w.letters + right for w in u.words}
             if image <= v_words:
                 leftover = v_words - image
                 return SubtermWitness(
-                    left, right, Term(leftover) if leftover else None
+                    left, right, Term._of_letters(leftover) if leftover else None
                 )
     return None

@@ -388,7 +388,7 @@ def _random_reachable_claim(rng: random.Random, sigma, bounds: SearchBounds):
         options, _ = sorted_rewrites(sigma, cur, bounds, pool)
         if not options:
             break
-        cur = Term._of(options[rng.randrange(len(options))][0])
+        cur = Term._of_letters(w for _, w in options[rng.randrange(len(options))][0])
     return start, cur
 
 

@@ -402,9 +402,9 @@ class TestFileFormat:
         ("algebra S2 extra\n", "line 1: 'algebra' takes 1 argument(s)"),
         ("algebra S2\nelements\n", "line 2: no element labels"),
         ("algebra S2\nelements 1 1\n", "line 2: duplicate element labels"),
-        ("algebra S2\nelements 1 2\n", "unexpected end of file, expected 'add'"),
-        ("algebra S2\nelements 1 2\nadd\n1 1\n",
-         "table/label arity mismatch: 'add' table needs 2 rows"),
+        ("algebra S2\nelements 1 2\n", "line 2: unexpected end of file, expected 'add'"),
+        ("algebra S2\nelements 1 2\nadd\n1 1\n\n",
+         "line 4: table/label arity mismatch: 'add' table needs 2 rows, found 1"),
         (S2_TEXT + "1 2\n", "line 9: trailing content '1 2'"),
     ])
     def test_malformed_file(self, text, message):

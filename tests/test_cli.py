@@ -505,6 +505,40 @@ class TestFileErrors:
         assert not out.parent.exists()
 
 
+class TestTruncatedFiles:
+    """A file that ends too soon is a syntax error (exit 2) at its last
+    content line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("holds", "{file}", "--ineq", "x <= y"),
+        ("validate", "{file}"),
+    ])
+    @pytest.mark.parametrize("text,message", [
+        ("algebra S2\nelements 1 2\nadd\n1 1\n",
+         "line 4: table/label arity mismatch: 'add' table needs 2 rows, found 1"),
+        ("algebra S2\nelements 1 2\nadd\n1 1\n1 2\n\n# no mul\n",
+         "line 5: unexpected end of file, expected 'mul'"),
+    ])
+    def test_algebra_file(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "cut.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, *[a.format(file=path) for a in argv])
+        assert code == 2 and out == ""
+        assert f"{path}: {message}" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("sigma:\nxy = yx\n\n", "line 2: no chain section"),
+        ("sigma:\nxy = yx\nchain:\nxy\nyx  # no steps\n",
+         "line 5: 0 step lines for a chain of 2 terms"),
+    ])
+    def test_derivation_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cut.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "derive", "check", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: {message}" in err
+
+
 class TestBadArguments:
     """Malformed statements, blocks and subsets are usage errors (exit 2)
     with one error line."""

@@ -348,7 +348,8 @@ def reference_subsets(words, cap=3):
 def neighbors(sigma, t, bounds, image_pool):
     """sorted_rewrites with each key made a Term and its witnesses a step."""
     found, pruned = sorted_rewrites(sigma, t, bounds, image_pool)
-    return [(Term._of(key), _step(*witnesses)) for key, witnesses in found], pruned
+    return [(Term._of_letters(letters for _, letters in key), _step(*witnesses))
+            for key, witnesses in found], pruned
 
 
 def reference_neighbors(sigma, t, bounds, image_pool):

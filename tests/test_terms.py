@@ -32,11 +32,17 @@ terms = st.lists(words, min_size=1, max_size=5).map(Term)
 substitutions = st.dictionaries(variables, terms, max_size=3).map(Substitution)
 
 
+def image_of(phi, x):
+    """The image of the variable x under phi; variables outside the map are
+    fixed."""
+    return phi.mapping.get(x, Term([Word((x,))]))
+
+
 def _expanded_size(phi, word):
     """Summands of phi(word) before duplicates collapse."""
     size = 1
     for x in word.letters:
-        size *= len(phi.image_of(x).words)
+        size *= len(image_of(phi, x).words)
     return size
 
 
@@ -45,6 +51,21 @@ def _expanded_size(phi, word):
 small_expansions = st.tuples(substitutions, terms, terms).filter(
     lambda case: max(_expanded_size(case[0], w) for w in mul(case[1], case[2]).words) <= 1000
 )
+
+
+def reference_substitute(phi, item):
+    """Substitution.__call__ as a recursion over Terms: a word's image is
+    the product of its letters' images, a term's the sum of its summands'
+    images."""
+    if isinstance(item, Word):
+        result = image_of(phi, item.letters[0])
+        for x in item.letters[1:]:
+            result = result * image_of(phi, x)
+        return result
+    out = reference_substitute(phi, item.words[0])
+    for word in item.words[1:]:
+        out = out + reference_substitute(phi, word)
+    return out
 
 
 def w(text):
@@ -223,11 +244,26 @@ class TestSubstitution:
         assert phi(add(a, b)) == add(phi(a), phi(b))
         assert phi(mul(a, b)) == mul(phi(a), phi(b))
 
+    @given(small_expansions)
+    @settings(deadline=None)
+    def test_matches_the_recursive_reference(self, case):
+        phi, a, b = case
+        for item in (a, b, mul(a, b), a.words[0]):
+            got, want = phi(item), reference_substitute(phi, item)
+            assert got.words == want.words
+            assert got.sort_key() == want.sort_key()
+
+    def test_collapses_duplicates_letter_by_letter(self):
+        # 2^40 expansions, but only x^40 ... x^80 are distinct
+        phi = Substitution({"x": t("x + xx")})
+        image = phi(Word(("x",) * 40))
+        assert image.words == tuple(Word(("x",) * n) for n in range(40, 81))
+
     @given(substitutions, terms)
     @settings(deadline=None)
     def test_content_of_image(self, phi, a):
         expected = frozenset(
-            x for v in content(a) for x in content(phi.image_of(v))
+            x for v in content(a) for x in content(image_of(phi, v))
         )
         assert content(phi(a)) == expected
 
@@ -248,11 +284,27 @@ class TestSubterm:
     def test_partial_embedding_fails(self):
         assert is_subterm(t("x + y"), t("axb + w")) is None
 
+    def test_witness_comes_from_the_least_host_word(self):
+        # the anchor x fits twelve host words of v; the least one in v's
+        # sorted order, ax, must give the witness whatever the hash order
+        v = t(" + ".join(f"{c}x" for c in "lkjihgfedcba"))
+        witness = is_subterm(t("x"), v)
+        assert witness.left == ("a",) and witness.right == ()
+        assert witness.rest == t(" + ".join(f"{c}x" for c in "bcdefghijkl"))
+
     @given(terms, terms)
     def test_witness_reconstructs_the_container(self, u, v):
         witness = is_subterm(u, v)
         if witness is not None:
             assert wrap(u, witness.left, witness.right, witness.rest) == v
+
+
+class TestWrap:
+    contexts = st.lists(variables, max_size=3).map(tuple)
+
+    @given(terms, contexts, contexts, terms)
+    def test_rest_is_added(self, u, left, right, rest):
+        assert wrap(u, left, right, rest) == wrap(u, left, right) + rest
 
 
 class TestCommutativeNormalize:
