@@ -28,13 +28,13 @@ counterexample; the scan returns it with the values of both sides there,
 read off the arrays the slab already evaluated.
 
 Table/assignment conventions:
-  * an assignment is a tuple of digits in range(k), one per variable in a
-    fixed order, the first variable's digit first; the scan visits them in
-    ascending lexicographic order;
-  * a compiled term is a tuple of words, each word a tuple of variable
-    positions (ints), multiplied left to right; the words are summed left
-    to right;
-  * mode 0 checks the inequality "b lies below a" (add[va, vb] == va),
+  * an assignment is a tuple of digits in range(k), one per variable in the
+    order the caller names them, the first variable's digit first; the scan
+    visits them in ascending lexicographic order;
+  * a term is a sequence of words (anything with ``letters``, a tuple of
+    variable names), each multiplied left to right; the words are summed
+    left to right;
+  * mode 0 checks the inequality "a lies below b" (add[va, vb] == vb),
     mode 1 checks the identity va == vb.
 """
 
@@ -77,27 +77,29 @@ def _axes(k: int, r: int) -> tuple[np.ndarray, ...]:
 def _eval_term(add, mul, term, operands):
     acc = None
     for word in term:
-        val = operands[word[0]]
-        for v in word[1:]:
-            val = mul[val, operands[v]]
+        letters = word.letters
+        val = operands[letters[0]]
+        for x in letters[1:]:
+            val = mul[val, operands[x]]
         acc = val if acc is None else add[acc, val]
     return acc
 
 
-def first_violation(add, mul, term_a, term_b, nvars, mode):
-    """The least assignment violating the check, as (digits, value_a,
-    value_b), or None when every assignment passes. Every variable must
-    occur in term_a or term_b, so that a slab's check has the slab's shape."""
+def first_violation(add, mul, term_a, term_b, variables, mode):
+    """The least assignment of the variables, in the order given, violating
+    the check, as (digits, value_a, value_b), or None when every assignment
+    passes. Every variable must occur in term_a or term_b, so that a slab's
+    check has the slab's shape."""
     k = add.shape[0]
-    r = nvars
+    r = len(variables)
     while k ** r > SLAB_CELLS:
         r -= 1
     axes = _axes(k, r)
-    for prefix in itertools.product(range(k), repeat=nvars - r):
-        operands = [*prefix, *axes]
+    for prefix in itertools.product(range(k), repeat=len(variables) - r):
+        operands = dict(zip(variables, (*prefix, *axes)))
         va = _eval_term(add, mul, term_a, operands)
         vb = _eval_term(add, mul, term_b, operands)
-        ok = (va == vb) if mode == 1 else (add[va, vb] == va)
+        ok = (va == vb) if mode == 1 else (add[va, vb] == vb)
         if not ok.all():
             cell = np.unravel_index(np.argmin(ok), ok.shape)
             cell = tuple(map(int, cell))

@@ -28,13 +28,18 @@ class TableFormatError(ValueError):
     """Malformed table: not square, wrong arity, or entry out of range."""
 
 
-class AlgebraSyntaxError(ValueError):
-    """Algebra file text does not match the expected format."""
+class LineSyntaxError(ValueError):
+    """Input file text does not match its format. ``line`` is the number of
+    the line at fault, or None, and prefixes the message as ``line N: ``."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+class AlgebraSyntaxError(LineSyntaxError):
+    """Algebra file text does not match the expected format."""
 
 
 @dataclass(frozen=True)

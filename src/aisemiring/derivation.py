@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .algebra import LineSyntaxError
 from .terms import (
     Substitution,
     Term,
@@ -436,10 +437,8 @@ def _chain_to(sigma: list[Identity], back, key: TermKey) -> Derivation:
 # an unknown or repeated field is a syntax error.
 
 
-class DerivationSyntaxError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+class DerivationSyntaxError(LineSyntaxError):
+    """Derivation file text does not match the expected format."""
 
 
 def _parse_at(parse, text: str, lineno: int):

@@ -2,17 +2,16 @@
 
 Brute force enumerates every assignment of algebra elements to variables,
 in lexicographic order of the sorted variables, through the scan in
-:mod:`aisemiring._kernels`, which returns the least counterexample with the
-values of both sides there when one exists. ``evaluate`` is a separate,
-plain evaluator of one assignment, off the verdict path. Alongside it live
-the three syntactic deciders characterizing satisfaction in the reference
-algebras S2, S7, and S53; the test suite certifies each against the brute
-force on its algebra.
+:mod:`aisemiring._kernels`, which reads the check's own words and returns
+the least counterexample, with the values of both sides there, when one
+exists. ``evaluate`` is a separate, plain evaluator of one assignment, off
+the verdict path. Alongside it live the three syntactic deciders
+characterizing satisfaction in the reference algebras S2, S7, and S53; the
+test suite certifies each against the brute force on its algebra.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _kernels
@@ -78,11 +77,6 @@ def evaluate(item: Word | Term, S: FiniteAiSemiring, a: Assignment) -> int:
     return acc
 
 
-def _compiled(words: Iterable[Word], var_index: dict[Variable, int]) -> tuple[tuple[int, ...], ...]:
-    """The words as tuples of variable positions (see _kernels)."""
-    return tuple(tuple(var_index[x] for x in w.letters) for w in words)
-
-
 def _guard(k: int, nvars: int, force: bool) -> None:
     if not force and k ** nvars > GUARD_LIMIT:
         raise VariableBudgetError(
@@ -93,20 +87,16 @@ def _guard(k: int, nvars: int, force: bool) -> None:
 
 def _scan(S: FiniteAiSemiring, a: tuple[Word, ...], b: tuple[Word, ...], mode: int,
           force: bool) -> SatisfactionVerdict:
-    """Brute force the check of the sum of the words a against that of the
-    words b (see _kernels for the modes). A counterexample is the least
-    failing assignment, its variables in sorted order; its left value is
-    b's in mode 0 (the lesser side of an inequality), else a's."""
+    """Brute force the check of the sum of the words a, the left side,
+    against that of the words b (see _kernels for the modes). A
+    counterexample is the least failing assignment, its variables in sorted
+    order, with the values of a and b there."""
     variables = sorted({x for w in (*a, *b) for x in w.letters})
     _guard(S.order, len(variables), force)
-    vi = {x: i for i, x in enumerate(variables)}
-    found = _kernels.first_violation(
-        S.add, S.mul, _compiled(a, vi), _compiled(b, vi), len(variables), mode
-    )
+    found = _kernels.first_violation(S.add, S.mul, a, b, variables, mode)
     if found is None:
         return SatisfactionVerdict(True)
-    digits, va, vb = found
-    left, right = (vb, va) if mode == 0 else (va, vb)
+    digits, left, right = found
     return SatisfactionVerdict(False, Counterexample(dict(zip(variables, digits)), left, right))
 
 
@@ -117,7 +107,7 @@ def holds_inequality(S: FiniteAiSemiring, q: Word, u: Term, *,
     The inequality means u ~ u + q as an identity; a counterexample carries
     the violating assignment with both evaluated values (left = q).
     """
-    return _scan(S, u.words, (q,), 0, force)
+    return _scan(S, (q,), u.words, 0, force)
 
 
 def holds_identity(S: FiniteAiSemiring, u: Term, v: Term, *,

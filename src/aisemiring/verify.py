@@ -437,8 +437,9 @@ def claim_derivation_soundness():
 
 #: claim_id -> (description, time budget in seconds, needs --full, runner);
 #: runner() returns (expected, observed). A budget is max(5 s, 10x the
-#: claim's time on a 2-core host), or 1 s for the table lookups, so that a
-#: tenfold slowdown of any claim above half a second fails it
+#: claim's longest time over ten `paper-verify --full` runs on a 2-core
+#: host, rounded up to a whole second), or 1 s for the table lookups, so
+#: that a tenfold slowdown of any claim above half a second fails it
 CLAIM_TABLE = {
     "registry-valid": (
         "reference Cayley tables satisfy all ai-semiring axioms",
@@ -473,7 +474,7 @@ CLAIM_TABLE = {
     "decider-oracle": (
         f"syntactic deciders agree with brute force on {ORACLE_INEQUALITIES:,} "
         "inequalities",
-        30.0,
+        21.0,
         False,
         claim_decider_oracle,
     ),
@@ -509,7 +510,7 @@ CLAIM_TABLE = {
     ),
     "derivation-soundness": (
         "fuzzed derivation searches are checker-certified and model-sound",
-        20.0,
+        14.0,
         False,
         claim_derivation_soundness,
     ),

@@ -393,8 +393,9 @@ class TestFileFormat:
             parse_algebra_raw(text)
 
     def test_empty_file(self):
-        with pytest.raises(AlgebraSyntaxError, match="empty"):
+        with pytest.raises(AlgebraSyntaxError, match="empty") as exc:
             parse_algebra_raw("  \n# nothing\n")
+        assert exc.value.line is None
 
     S2_TEXT = "algebra S2\nelements 1 2\nadd\n1 1\n1 2\nmul\n1 1\n1 2\n"
 
@@ -411,3 +412,4 @@ class TestFileFormat:
         with pytest.raises(AlgebraSyntaxError) as exc:
             parse_algebra_raw(text)
         assert str(exc.value) == message
+        assert message.startswith(f"line {exc.value.line}: ")

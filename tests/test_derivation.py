@@ -240,8 +240,15 @@ step: rule 1 forward; left -; right -; rest z; sub x := x, y := y
         ],
     )
     def test_syntax_errors(self, mutation, match):
-        with pytest.raises(DerivationSyntaxError, match=match):
+        with pytest.raises(DerivationSyntaxError, match=match) as exc:
             parse_derivation(mutation(self.GOOD))
+        assert str(exc.value).startswith(f"line {exc.value.line}: ")
+
+    def test_syntax_error_carries_its_line(self):
+        with pytest.raises(DerivationSyntaxError) as exc:
+            parse_derivation("sigma:\nxy\n")
+        assert str(exc.value) == "line 2: identity needs '='"
+        assert exc.value.line == 2
 
 
 class TestSoundnessSample:

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from aisemiring import _kernels, enumeration
-from aisemiring.algebra import registry
+from aisemiring.algebra import REGISTRY_NAMES, registry
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_semilattices
-from aisemiring.satisfaction import _compiled
 from aisemiring.terms import Term, Word, content
 from aisemiring.verify import random_inequality
 
 
-def _compile_pair(S, q, u):
-    variables = sorted(content(u) | content(q))
-    vi = {x: i for i, x in enumerate(variables)}
-    return _compiled(u, vi), _compiled((q,), vi), len(variables)
+def compiled(words, variables):
+    """The words as tuples of their letters' positions in variables, the
+    digits reference's input."""
+    position = {x: i for i, x in enumerate(variables)}
+    return tuple(tuple(position[x] for x in w.letters) for w in words)
 
 
 def digits_first_violation(add, mul, term_a, term_b, nvars, mode, start, stop):
@@ -43,20 +43,25 @@ def digits_first_violation(add, mul, term_a, term_b, nvars, mode, start, stop):
         digits = (idx[:, None] // strides[None, :]) % k
         va = evaluate(term_a, digits)
         vb = evaluate(term_b, digits)
-        ok = (va == vb) if mode == 1 else (add[va, vb] == va)
+        ok = (va == vb) if mode == 1 else (add[va, vb] == vb)
         if not ok.all():
             row = int(np.argmin(ok))
             return lo + row, int(va[row]), int(vb[row])
     return None
 
 
-def as_index(found, k, nvars):
-    """The kernel's (digits, value_a, value_b) with the digits as the
-    reference's flat index, first digit most significant."""
-    if found is None:
-        return None
-    digits, va, vb = found
-    return int(np.ravel_multi_index(digits, (k,) * nvars)), va, vb
+def scan_both(S, term_a, term_b, variables, mode):
+    """The kernel's answer, its digits as a flat index, first digit most
+    significant, and the digits reference's, on the same words with the
+    variables in the same order."""
+    k, nvars = S.order, len(variables)
+    found = _kernels.first_violation(S.add, S.mul, term_a, term_b, variables, mode)
+    if found is not None:
+        digits, va, vb = found
+        found = int(np.ravel_multi_index(digits, (k,) * nvars)), va, vb
+    want = digits_first_violation(S.add, S.mul, compiled(term_a, variables),
+                                  compiled(term_b, variables), nvars, mode, 0, k ** nvars)
+    return found, want
 
 
 #: an order-2 ai-semiring for the scan tests (the registry has none): the
@@ -145,20 +150,15 @@ class TestScan:
         S = ORDER2 if name == "order2" else registry(name)
         k = S.order
         cells = k ** max(r for r in range(nvars + 1) if k ** r <= _kernels.SLAB_CELLS)
-        total = k ** nvars
-        assert total >= 4 * cells
+        assert k ** nvars >= 4 * cells
         rng = random.Random(nvars * 1000 + k)
         past_slab0 = 0
         for _ in range(4):
             q, u, v = _random_check(rng, nvars)
-            vi = {x: i for i, x in enumerate(sorted(content(u)))}
-            cu, cq, cv = _compiled(u, vi), _compiled((q,), vi), _compiled(v, vi)
-            for mode, (ta, tb) in ((0, (cu, cq)), (1, (cu, cv))):
-                got = as_index(_kernels.first_violation(S.add, S.mul, ta, tb, nvars, mode),
-                               k, nvars)
-                assert got == digits_first_violation(
-                    S.add, S.mul, ta, tb, nvars, mode, 0, total
-                ), (str(q), str(u), str(v), mode)
+            variables = sorted(content(u))
+            for mode, (ta, tb) in ((0, ((q,), u.words)), (1, (u.words, v.words))):
+                got, want = scan_both(S, ta, tb, variables, mode)
+                assert got == want, (str(q), str(u), str(v), mode)
                 past_slab0 += got is None or got[0] >= cells
         # some check must scan beyond the first slab, or the slab loop is
         # never exercised
@@ -172,16 +172,31 @@ class TestScan:
         outcomes = set()
         for _ in range(60):
             q, u = random_inequality(rng)
-            cu, cq, nvars = _compile_pair(S, q, u)
-            total = S.order ** nvars
+            variables = sorted(content(u) | content(q))
             for mode in (0, 1):
-                got = as_index(_kernels.first_violation(S.add, S.mul, cu, cq, nvars, mode),
-                               S.order, nvars)
-                assert got == digits_first_violation(
-                    S.add, S.mul, cu, cq, nvars, mode, 0, total
-                )
+                got, want = scan_both(S, (q,), u.words, variables, mode)
+                assert got == want
                 outcomes.add(got is not None)
         assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_digits_follow_the_given_variable_order(self, name):
+        # the first variable named is the most significant digit, whatever
+        # its name: reversed, the least counterexample is another cell
+        S = registry(name)
+        rng = random.Random(23)
+        outcomes = set()
+        moved = 0
+        for _ in range(60):
+            q, u = random_inequality(rng)
+            variables = sorted(content(u) | content(q))
+            for mode in (0, 1):
+                got, want = scan_both(S, (q,), u.words, variables[::-1], mode)
+                assert got == want, (str(q), str(u), mode)
+                outcomes.add(got is not None)
+                moved += got != scan_both(S, (q,), u.words, variables, mode)[0]
+        assert outcomes == {False, True}
+        assert moved
 
 
 class TestCanonicalForms:
