@@ -10,7 +10,7 @@ them, whose joins and compositions are tabled, so setting a row checks
 right distributivity and associativity as row equations and forces the
 rows they name, for a whole block of partial tables at once. Canonical
 forms relabel a table under all k! carrier permutations in one gather and
-take the least row with ``lexsort``, which also gives the permutations
+take the least row, rows compared as byte strings, with the permutations
 reaching it (for a canonical table, its automorphisms). ``canonical_pairs``
 relabels a whole stack of uint8 multiplication tables under each of those
 permutations with one column gather and one renaming.
@@ -243,42 +243,35 @@ def census_mul_tables(add) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical forms under carrier permutation
 
-def _relabel_cells(invs) -> np.ndarray:
-    """For each inverse permutation, the row-major cells of a (k, k) table
-    to read, in order, for the table relabelled by that permutation:
-    cell (x, y) of the result reads cell (inv[x], inv[y])."""
-    k = invs.shape[1]
-    return (invs[:, :, None] * k + invs[:, None, :]).reshape(len(invs), k * k)
-
-
 @functools.cache
-def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k! permutations of range(k) in lexicographic order, one per row,
-    their inverses, and the cells to read for every relabelling at once:
-    row p of ``cells`` picks, from a flat stack of k! row-major (k, k)
-    tables, table p relabelled by permutation p. Shared, so read-only."""
+    and the cells each relabelling reads: row p of ``cells`` lists, in
+    order, the row-major cells of a (k, k) table that its relabelling by
+    permutation p reads, cell (x, y) reading cell (inv[x], inv[y]) for the
+    inverse inv of p. Shared, so read-only."""
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     invs = np.argsort(perms, axis=1)
-    cells = _relabel_cells(invs) + np.arange(0, perms.size * k, k * k)[:, None]
-    perms.flags.writeable = invs.flags.writeable = cells.flags.writeable = False
-    return perms, invs, cells
+    cells = (invs[:, :, None] * k + invs[:, None, :]).reshape(len(perms), k * k)
+    perms.flags.writeable = cells.flags.writeable = False
+    return perms, cells
 
 
 def _least_relabelling(table) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The least relabelling of a (k, k) table as row-major uint8 bytes, the
     permutations giving it, one per row (Aut(table) when it is canonical),
-    and their inverses.
+    and the cells each of them reads.
 
-    Every relabelling comes from one gather: row p of ``renamed`` is the
-    table with each entry renamed by permutation p, and ``cells`` reads it
-    at the permuted cells. ``lexsort`` then finds the least row."""
+    Every relabelling comes from one gather: row p of ``forms`` reads the
+    table at p's cells and renames each entry by p. The rows are compared
+    as byte strings of k*k bytes, which numpy orders lexicographically."""
     arr = np.ascontiguousarray(table, dtype=np.int64)
-    perms, invs, cells = permutation_arrays(arr.shape[0])
-    renamed = perms[:, arr.ravel()].astype(np.uint8)
-    forms = renamed.ravel()[cells]
-    least = forms[np.lexsort(forms.T[::-1])[0]]
+    k = arr.shape[0]
+    perms, cells = permutation_arrays(k)
+    forms = np.take_along_axis(perms, arr.ravel()[cells], axis=1).astype(np.uint8)
+    least = forms[np.argmin(forms.view(f"S{k * k}"))]
     reach = (forms == least).all(axis=1)
-    return least.tobytes(), perms[reach], invs[reach]
+    return least.tobytes(), perms[reach], cells[reach]
 
 
 def canonical_pairs(add, muls) -> list[bytes]:
@@ -289,23 +282,18 @@ def canonical_pairs(add, muls) -> list[bytes]:
     permutation that gives the least relabelled add; only those are tried.
     The mul tables are cast to uint8 once; under each such permutation all
     of them are relabelled by one column gather and one renaming. A running
-    minimum of the relabelled tables is kept, one row per table, and each
-    row is decided at its first differing column.
+    minimum of the relabelled tables is kept, one row per table, comparing
+    rows as byte strings.
     """
     add = np.ascontiguousarray(add, dtype=np.int64)
     k = add.shape[0]
     small = np.asarray(muls).reshape(-1, k * k).astype(np.uint8)
-    if len(small) == 0:
-        return []
-    least_add, perms, invs = _least_relabelling(add)
-    perms = perms.astype(np.uint8)
-    cells = _relabel_cells(invs)
+    least_add, perms, cells = _least_relabelling(add)
+    perms, row = perms.astype(np.uint8), f"S{k * k}"
     best = np.take(perms[0], small[:, cells[0]])
-    rows = np.arange(len(small))
     for perm, cell in zip(perms[1:], cells[1:]):
         cand = np.take(perm, small[:, cell])
-        col = np.argmax(cand != best, axis=1)
-        less = cand[rows, col] < best[rows, col]
+        less = (cand.view(row) < best.view(row))[:, 0]
         best[less] = cand[less]
     data, size = best.tobytes(), k * k
     return [least_add + data[i:i + size] for i in range(0, len(data), size)]

@@ -6,8 +6,9 @@ semilattice with a top element.
 
 The axioms are checked in one place: ``_failure_masks`` takes (N, k, k)
 stacks of tables and yields one numpy failure mask per axiom family over the
-whole stack. ``valid_stack`` and ``FiniteAiSemiring.stack`` check a stack in
-one call; ``tables_valid``, ``validate`` and the constructor check one pair
+whole stack. ``valid_stack`` and ``FiniteAiSemiring.stack`` check a stack a
+slab of tables at a time, each slab at most ``_kernels.SLAB_CELLS`` cells
+per mask; ``tables_valid``, ``validate`` and the constructor check one pair
 as a stack of one, and ``validate`` reads its witnesses from the same
 masks.
 """
@@ -21,11 +22,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _kernels
+
 MAX_VIOLATION_WITNESSES = 32
 
 
 class TableFormatError(ValueError):
-    """Malformed table: not square, wrong arity, or entry out of range."""
+    """Malformed table: not square, wrong arity, entry not an integer, or
+    entry out of range."""
 
 
 class LineSyntaxError(ValueError):
@@ -67,14 +71,16 @@ class ValidationReport:
 
 def _as_stacks(adds, muls) -> tuple[np.ndarray, np.ndarray]:
     """The addition and multiplication tables as (N, k, k) int64 stacks,
-    checked for shape and range; a range error names the first table, in
-    stack order, with an entry out of range."""
+    checked for shape, integer entries and range; a range error names the
+    first table, in stack order, with an entry out of range."""
     stacks = []
     for what, tables in (("addition", adds), ("multiplication", muls)):
-        arr = np.asarray(tables, dtype=np.int64)
+        arr = np.asarray(tables)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
             raise TableFormatError(f"{what} table must be square and nonempty")
-        stacks.append(arr)
+        if arr.dtype.kind not in "iu":
+            raise TableFormatError(f"{what} table entries must be integers, not {arr.dtype}")
+        stacks.append(arr.astype(np.int64, copy=False))
     a, m = stacks
     if a.shape != m.shape:
         raise TableFormatError("addition and multiplication tables differ in order")
@@ -163,10 +169,14 @@ def validate(add, mul) -> ValidationReport:
 
 def valid_stack(adds: np.ndarray, muls: np.ndarray) -> np.ndarray:
     """Per table pair of two (N, k, k) stacks, whether it satisfies every
-    axiom family; one check for the whole stack."""
+    axiom family. The stack is checked a slab of tables at a time, so that
+    a mask over triples holds at most ``_kernels.SLAB_CELLS`` cells (or one
+    table's)."""
     ok = np.ones(len(adds), dtype=bool)
-    for mask in _failure_masks(adds, muls):
-        ok &= ~mask.any(axis=tuple(range(1, mask.ndim)))
+    size = max(1, _kernels.SLAB_CELLS // adds.shape[1] ** 3)
+    for i in range(0, len(adds), size):
+        for mask in _failure_masks(adds[i:i + size], muls[i:i + size]):
+            ok[i:i + size] &= ~mask.any(axis=tuple(range(1, mask.ndim)))
     return ok
 
 
@@ -178,9 +188,10 @@ def tables_valid(add: np.ndarray, mul: np.ndarray) -> bool:
 
 def _checked(names, labels, adds, muls):
     """(labels, adds, muls) for algebras on one carrier, the tables as
-    read-only (N, k, k) stacks, after one check of shape, range, labels and
-    every axiom family over the whole stack. The first failing pair raises
-    ValueError naming its algebra and up to four violations."""
+    read-only (N, k, k) stacks, after checking shape, integer entries,
+    range and labels, then every axiom family with ``valid_stack``. The
+    first failing pair raises ValueError naming its algebra and up to four
+    violations."""
     a, m = _as_stacks(adds, muls)
     k = a.shape[1]
     labels = tuple(str(x) for x in labels)
@@ -218,9 +229,10 @@ class FiniteAiSemiring:
     @classmethod
     def stack(cls, names: Sequence[str], labels: Sequence[str], tables) -> list[FiniteAiSemiring]:
         """One algebra per (add, mul) pair of an (N, 2, k, k) stack of
-        tables, all on the same labels, checked in one call; the first
-        failing pair raises as the constructor would, with its name."""
-        tables = np.array(tables, dtype=np.int64)
+        tables, all on the same labels, checked together by ``valid_stack``,
+        a slab at a time; the first failing pair raises as the constructor
+        would, with its name."""
+        tables = np.array(tables)
         if tables.ndim != 4 or tables.shape[1] != 2 or len(tables) != len(names):
             raise TableFormatError("need one name per (add, mul) pair of an (N, 2, k, k) stack")
         labels, adds, muls = _checked(names, labels, tables[:, 0], tables[:, 1])

@@ -95,7 +95,9 @@ class Homomorphism:
 
     def is_valid(self) -> bool:
         m = np.asarray(self.map)
-        if m.shape != (self.source.order,):
+        if m.shape != (self.source.order,) or m.dtype.kind not in "iu":
+            return False
+        if not ((0 <= m) & (m < self.target.order)).all():
             return False
         return bool(
             np.array_equal(m[self.source.add], self.target.add[np.ix_(m, m)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aisemiring import _kernels
 from aisemiring.algebra import (
     MAX_VIOLATION_WITNESSES,
     AlgebraSyntaxError,
@@ -158,6 +159,21 @@ class TestValidate:
             validate([[0, 1], [1, 1], [0, 0]], [[0, 0], [0, 0]])
         with pytest.raises(TableFormatError):
             validate([[0, 2], [1, 1]], [[0, 0], [0, 0]])
+        # entries that are not integers are not truncated or parsed
+        one = [[0, 0], [0, 1]]
+        for bad in ([[0, 0], [0, 1.5]], [[0, 0], [0, 1.0]], [["0", "0"], ["0", "1"]]):
+            with pytest.raises(TableFormatError, match="addition table entries must be integers"):
+                validate(bad, one)
+            with pytest.raises(TableFormatError, match="multiplication table entries must be integers"):
+                validate(one, bad)
+        with pytest.raises(TableFormatError, match="entries must be integers"):
+            FiniteAiSemiring("T", "ab", [[0, 0], [0, 1.9]], one)
+        # the shape is checked first: empty input keeps its message
+        for empty in ([], [[]]):
+            with pytest.raises(TableFormatError, match="square and nonempty"):
+                validate(empty, one)
+        assert validate(one, one).ok
+        assert validate(np.array(one, np.uint8), np.array(one, np.int32)).ok
 
     def test_reports_multiple_violations(self):
         # constant-0 add table breaks idempotency at every non-zero element
@@ -204,24 +220,45 @@ class TestValidate:
             FiniteAiSemiring("broken", S7.labels, bad, S7.mul)
 
 
+def check_stacks_against_the_loop():
+    outcomes = set()
+    for adds, muls in random_stacks(seed=11, count=200):
+        ok = valid_stack(adds, muls)
+        assert ok.tolist() == loop_tables_valid(adds, muls)
+        assert [tables_valid(a, m) for a, m in zip(adds, muls)] == ok.tolist()
+        outcomes.update(ok.tolist())
+    assert outcomes == {False, True}
+
+
+def check_census_stack(k):
+    algebras = enumerate_ai_semirings(k)
+    adds = np.stack([S.add for S in algebras])
+    muls = np.stack([S.mul for S in algebras])
+    assert valid_stack(adds, muls).all()
+    # swapping the tables breaks some pairs, and only those fail
+    assert valid_stack(muls, adds).tolist() == loop_tables_valid(muls, adds)
+
+
 class TestStack:
     def test_stack_check_matches_the_loop(self):
-        outcomes = set()
-        for adds, muls in random_stacks(seed=11, count=200):
-            ok = valid_stack(adds, muls)
-            assert ok.tolist() == loop_tables_valid(adds, muls)
-            assert [tables_valid(a, m) for a, m in zip(adds, muls)] == ok.tolist()
-            outcomes.update(ok.tolist())
-        assert outcomes == {False, True}
+        check_stacks_against_the_loop()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_census_stacks_pass(self, k):
-        algebras = enumerate_ai_semirings(k)
-        adds = np.stack([S.add for S in algebras])
-        muls = np.stack([S.mul for S in algebras])
-        assert valid_stack(adds, muls).all()
-        # swapping the tables breaks some pairs, and only those fail
-        assert valid_stack(muls, adds).tolist() == loop_tables_valid(muls, adds)
+        check_census_stack(k)
+
+    # one table per slab, or (at order 1) seven, so that slab boundaries
+    # fall all through each stack
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_stack_check_matches_the_loop_in_slabs(self, cells, monkeypatch):
+        monkeypatch.setattr(_kernels, "SLAB_CELLS", cells)
+        check_stacks_against_the_loop()
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_census_stacks_pass_in_slabs(self, k, cells, monkeypatch):
+        monkeypatch.setattr(_kernels, "SLAB_CELLS", cells)
+        check_census_stack(k)
 
     def test_stack_builds_what_the_constructor_builds(self):
         algebras = enumerate_ai_semirings(3)
@@ -274,6 +311,10 @@ class TestStack:
             FiniteAiSemiring.stack(["a", "b"], "xy", tables)
         with pytest.raises(TableFormatError):
             FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables[:, 0])
+        with pytest.raises(TableFormatError, match="entries must be integers, not float64"):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables + 0.5)
+        with pytest.raises(TableFormatError, match="entries must be integers, not float64"):
+            FiniteAiSemiring.stack(["a", "b", "c"], "xy", tables.astype(float))
         tables[2, 1, 0, 1] = 0
         with pytest.raises(TableFormatError, match="labels must be distinct"):
             FiniteAiSemiring.stack(["a", "b", "c"], "xx", tables)

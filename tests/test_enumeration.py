@@ -230,9 +230,11 @@ class TestCensus:
         leq = ORDER5[shape][0]
         add = _kernels.unpack_table(_kernels.canonical_table(join_table(leq, 5)), 5)
         muls = _kernels.census_mul_tables(add).reshape(-1, 5, 5)
-        _, perms, invs = _kernels._least_relabelling(add)
+        _, perms, cells = _kernels._least_relabelling(add)
         fixed = 0
-        for perm, inv in zip(perms, invs):
+        for perm, cell in zip(perms, cells):
+            inv = np.argsort(perm)
+            assert np.array_equal(cell, np.arange(25).reshape(5, 5)[np.ix_(inv, inv)].ravel())
             assert np.array_equal(perm[add[np.ix_(inv, inv)]], add)
             moved = perm[muls[:, inv[:, None], inv[None, :]]]
             assert np.array_equal(np.unique(moved.reshape(-1, 25), axis=0), muls.reshape(-1, 25))

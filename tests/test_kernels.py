@@ -108,6 +108,14 @@ def loop_least_relabelling(table):
     return least, perms[reach], invs[reach]
 
 
+def cells_read_by(perm):
+    """The row-major cells of a (k, k) table that its relabelling by perm
+    reads: the cell numbers, laid out as a table, relabelled by position."""
+    inv = np.argsort(perm)
+    k = len(perm)
+    return np.arange(k * k).reshape(k, k)[np.ix_(inv, inv)].ravel()
+
+
 def loop_canonical_pairs(add, muls):
     """Reference canonical forms: the kernel as it was before the uint8
     gathers, relabelling int64 tables by fancy indexing, then casting."""
@@ -230,21 +238,23 @@ class TestCanonicalForms:
             for a in range(k):
                 for b in range(k):
                     copy[sigma[a], sigma[b]] = sigma[L[a, b]]
-            form, found, inverses = _kernels._least_relabelling(copy)
+            form, found, cells = _kernels._least_relabelling(copy)
             assert form == L.astype(np.uint8).tobytes()
             assert sorted(tuple(int(p[s]) for s in sigma) for p in found) == auts
-            assert all(np.array_equal(inv[p], np.arange(k)) for p, inv in zip(found, inverses))
+            assert all(np.array_equal(cell, cells_read_by(p)) for p, cell in zip(found, cells))
+            assert len(cells) == len(found)
 
     def test_least_relabelling_matches_the_loop(self):
         rng = np.random.default_rng(17)
         tables = [t for k in range(1, 6) for t in random_tables(rng, k, 200)]
         tables += [L for k in range(1, 5) for L in enumerate_semilattices(k)]
         for table in tables:
-            form, perms, invs = _kernels._least_relabelling(table)
-            want, want_perms, want_invs = loop_least_relabelling(table)
+            form, perms, cells = _kernels._least_relabelling(table)
+            want, want_perms, _ = loop_least_relabelling(table)
             assert form == want
-            assert perms.dtype == invs.dtype == np.int64
-            assert np.array_equal(perms, want_perms) and np.array_equal(invs, want_invs)
+            assert perms.dtype == cells.dtype == np.int64
+            assert np.array_equal(perms, want_perms)
+            assert np.array_equal(cells, [cells_read_by(p) for p in want_perms])
 
     def test_canonical_pairs_matches_the_loop_on_every_census(self, monkeypatch):
         # every semilattice of order <= 5, so the three order-5 shapes of the
@@ -263,4 +273,7 @@ class TestCanonicalForms:
             for add in random_tables(rng, k, 30):
                 muls = np.stack(list(random_tables(rng, k, int(rng.integers(1, 40)))))
                 assert _kernels.canonical_pairs(add, muls) == loop_canonical_pairs(add, muls)
-        assert _kernels.canonical_pairs(np.zeros((2, 2)), np.zeros((0, 4))) == []
+        for k in range(1, 6):
+            add = np.maximum.outer(np.arange(k), np.arange(k))
+            assert _kernels.canonical_pairs(add, np.zeros((0, k * k))) == []
+            assert _kernels.canonical_pairs(add, np.zeros((0, k, k), np.uint8)) == []

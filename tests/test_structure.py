@@ -107,6 +107,11 @@ class TestQuotient:
         with pytest.raises(ValueError, match="not a congruence"):
             quotient(S7, Partition.closing([[0, 2]], 3))
 
+    @pytest.mark.parametrize("m", [(0, 1), (0, 1, 3), (0, 1, -1), (0, 1, 2.0), ("0", "1", "2")])
+    def test_a_map_off_the_carrier_is_not_a_homomorphism(self, S7, m):
+        assert Homomorphism(S7, S7, (0, 1, 2)).is_valid()
+        assert not Homomorphism(S7, S7, m).is_valid()
+
     def test_block_map_is_surjective_homomorphism(self, S4_124):
         P = Partition.closing([[0, 1]], 4)
         h = Homomorphism(S4_124, quotient(S4_124, P), P.block_of)
