@@ -248,7 +248,7 @@ class TestStack:
         check_census_stack(k)
 
     # one table per slab, or (at order 1) seven, so that slab boundaries
-    # fall all through each stack
+    # fall throughout each stack
     @pytest.mark.parametrize("cells", [1, 7])
     def test_stack_check_matches_the_loop_in_slabs(self, cells, monkeypatch):
         monkeypatch.setattr(_kernels, "SLAB_CELLS", cells)
