@@ -162,16 +162,20 @@ def census_mul_tables(add) -> np.ndarray:
     ends = join_endomorphisms(add)
     n = len(ends)
     # join[e][f] and comp[e][f] are the indices of e + f and of e after f; a
-    # map is found by its base-k digits, one row of each table at a time.
-    # Row n of both is -1, the row a mask reads for a target not yet known.
+    # map is found by its base-k digits, a slab of rows of each table at a
+    # time, so a (rows, n, k) temporary holds at most SLAB_CELLS cells (or
+    # one row's). Row n of both is -1, the row a mask reads for a target not
+    # yet known.
     digits = k ** np.arange(k - 1, -1, -1)
     index = np.zeros(k ** k, dtype=np.int64)
     index[ends @ digits] = np.arange(n)
     tabs = np.full((2, n + 1, n), -1, dtype=np.int32)
     join, comp = tabs[0, :n], tabs[1, :n]
-    for e, f in enumerate(ends):
-        join[e] = index[add[f, ends] @ digits]
-        comp[e] = index[f[ends] @ digits]
+    step = max(1, SLAB_CELLS // (n * k))
+    for lo in range(0, n, step):
+        part = ends[lo:lo + step]
+        join[lo:lo + step] = index[add[part[:, None], ends] @ digits]
+        comp[lo:lo + step] = index[part[:, ends] @ digits]
     join_flat, comp_flat = join.ravel(), comp.ravel()
     images = ends.T.astype(np.int32)  # images[x][e] is e(x)
     everything = np.arange(n, dtype=np.int32)

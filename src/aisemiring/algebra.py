@@ -86,8 +86,7 @@ def _as_stacks(adds, muls) -> tuple[np.ndarray, np.ndarray]:
         raise TableFormatError("addition and multiplication tables differ in order")
     k = a.shape[1]
     # C order is table, then addition before multiplication, then row, column
-    bad = np.stack((a, m), axis=1)
-    bad = (bad < 0) | (bad >= k)
+    bad = np.stack([(x < 0) | (x >= k) for x in (a, m)], axis=1)
     if bad.any():
         _, which, row, col = np.argwhere(bad)[0]
         raise TableFormatError(
@@ -290,23 +289,17 @@ class AdditiveProfile:
 def profile_from_add(add: np.ndarray) -> AdditiveProfile:
     """Natural-order profile computed from an addition table alone."""
     k = add.shape[0]
-    leq = {(a, b) for a in range(k) for b in range(k) if add[a, b] == b}
-    top = 0
-    for x in range(1, k):
-        top = add[top, x]
-    strictly_below = {b: {a for a in range(k) if (a, b) in leq and a != b}
-                      for b in range(k)}
-    minimals = frozenset(b for b in range(k) if not strictly_below[b])
+    leq = add == np.arange(k)  # leq[a, b]: a <= b, i.e. a + b = b
+    order = frozenset((int(a), int(b)) for a, b in np.argwhere(leq))
     if k == 1:
         # degenerate by convention: the unique element plays every role
-        return AdditiveProfile(0, frozenset({0}), frozenset({0}), frozenset(leq))
-    coatoms = frozenset(
-        x for x in range(k)
-        if x != top and not any(
-            (x, z) in leq and z not in (x, top) for z in range(k)
-        )
-    )
-    return AdditiveProfile(int(top), minimals, coatoms, frozenset(leq))
+        return AdditiveProfile(0, frozenset({0}), frozenset({0}), order)
+    strict = leq & ~np.eye(k, dtype=bool)
+    top = int(np.flatnonzero(leq.all(axis=0))[0])
+    minimals = frozenset(int(b) for b in np.flatnonzero(~strict.any(axis=0)))
+    # a coatom's only strict upper bound is the top
+    coatoms = frozenset(int(x) for x in np.flatnonzero(strict.sum(axis=1) == 1))
+    return AdditiveProfile(top, minimals, coatoms, order)
 
 
 def natural_order(S: FiniteAiSemiring) -> AdditiveProfile:

@@ -33,10 +33,6 @@ from .terms import (
 Identity = tuple[Term, Term]
 
 
-class DerivationRuleError(ValueError):
-    """Step uses a rule that is not in the ambient identity set."""
-
-
 @dataclass(eq=True)
 class DerivationStep:
     """Explicit witnesses for one rewrite: rule, orientation, contexts,
@@ -62,15 +58,6 @@ class Derivation:
 
 
 @dataclass(frozen=True)
-class StepVerdict:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class DerivationVerdict:
     ok: bool
     failed_step: int | None = None
@@ -80,27 +67,17 @@ class DerivationVerdict:
         return self.ok
 
 
-def check_step(t: Term, t_next: Term, step: DerivationStep,
-               sigma: list[Identity] | None = None) -> StepVerdict:
+def check_step(t: Term, t_next: Term, step: DerivationStep) -> DerivationVerdict:
     """Verify that the step's witnesses rewrite t into t_next exactly."""
-    if sigma is not None and step.rule not in sigma:
-        raise DerivationRuleError(
-            f"rule {print_term(step.rule[0])} = {print_term(step.rule[1])} "
-            "is not in the identity set"
-        )
     src, dst = step.oriented()
-    lhs = wrap(step.subst(src), step.left, step.right, step.remainder)
-    if lhs != t:
-        return StepVerdict(
-            False, f"left side composes to {print_term(lhs)}, expected {print_term(t)}"
-        )
-    rhs = wrap(step.subst(dst), step.left, step.right, step.remainder)
-    if rhs != t_next:
-        return StepVerdict(
-            False,
-            f"right side composes to {print_term(rhs)}, expected {print_term(t_next)}",
-        )
-    return StepVerdict(True)
+    for side, rule_side, expected in (("left", src, t), ("right", dst, t_next)):
+        got = wrap(step.subst(rule_side), step.left, step.right, step.remainder)
+        if got != expected:
+            return DerivationVerdict(
+                False, None,
+                f"{side} side composes to {print_term(got)}, expected {print_term(expected)}",
+            )
+    return DerivationVerdict(True)
 
 
 def check_derivation(d: Derivation, claim: Identity) -> DerivationVerdict:
@@ -117,10 +94,10 @@ def check_derivation(d: Derivation, claim: Identity) -> DerivationVerdict:
     if d.chain[-1] != claim[1]:
         return DerivationVerdict(False, None, "chain does not end at the claim's right side")
     for i, step in enumerate(d.steps):
-        try:
-            verdict = check_step(d.chain[i], d.chain[i + 1], step, d.sigma)
-        except DerivationRuleError as exc:
-            return DerivationVerdict(False, i, str(exc))
+        if step.rule not in d.sigma:
+            s, sp = map(print_term, step.rule)
+            return DerivationVerdict(False, i, f"rule {s} = {sp} is not in the identity set")
+        verdict = check_step(d.chain[i], d.chain[i + 1], step)
         if not verdict:
             return DerivationVerdict(False, i, verdict.reason)
     return DerivationVerdict(True)

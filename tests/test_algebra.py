@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from aisemiring.algebra import (
     is_commutative_mult,
     natural_order,
     parse_algebra,
+    profile_from_add,
     parse_algebra_raw,
     registry,
     serialize_algebra,
@@ -19,7 +22,7 @@ from aisemiring.algebra import (
     valid_stack,
     validate,
 )
-from aisemiring.enumeration import enumerate_ai_semirings
+from aisemiring.enumeration import enumerate_ai_semirings, enumerate_semilattices
 
 ALL_NAMES = ["S2", "S7", "S53", "S4_124", "S4_359", "R6"]
 
@@ -320,7 +323,39 @@ class TestStack:
             FiniteAiSemiring.stack(["a", "b", "c"], "xx", tables)
 
 
+def loop_profile(add):
+    """Reference profile: the order as a set of pairs, the top as a fold of
+    joins, and the coatoms as the elements whose only strict upper bound
+    is the top."""
+    k = len(add)
+    leq = {(a, b) for a in range(k) for b in range(k) if add[a, b] == b}
+    if k == 1:
+        return 0, {0}, {0}, leq
+    top = 0
+    for x in range(1, k):
+        top = int(add[top, x])
+    minimals = {b for b in range(k) if not any((a, b) in leq for a in range(k) if a != b)}
+    coatoms = {x for x in range(k) if x != top
+               and not any((x, z) in leq for z in range(k) if z not in (x, top))}
+    return top, minimals, coatoms, leq
+
+
 class TestNaturalOrder:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_profile_matches_the_loop(self, k):
+        # every semilattice of order k under every relabelling
+        for add in enumerate_semilattices(k):
+            for perm in itertools.permutations(range(k)):
+                perm = np.array(perm)
+                inv = np.argsort(perm)
+                table = perm[add[np.ix_(inv, inv)]]
+                p = profile_from_add(table)
+                assert (p.top, p.minimals, p.coatoms, p.order_relation) == loop_profile(table)
+                fields = [p.top, *p.minimals, *p.coatoms, *itertools.chain(*p.order_relation)]
+                assert all(type(v) is int for v in fields)
+                assert all(type(f) is frozenset
+                           for f in (p.minimals, p.coatoms, p.order_relation))
+
     def test_s4_124_profile(self, S4_124):
         p = natural_order(S4_124)
         lab = S4_124.label

@@ -1,9 +1,9 @@
 """The answers the workbench gives, pinned by SHA-256.
 
 Each digest covers a text rendering of many answers at once: the order-4
-census, seeded derivation searches and seeded counterexamples. A change
-that is meant to keep every answer byte-identical must leave all three
-digests as they are. A change that alters an answer on purpose updates the
+census, seeded derivation searches, seeded counterexamples and the
+``paper-verify --full`` report. A change that is meant to keep every answer
+byte-identical must leave all four digests as they are. A change that alters an answer on purpose updates the
 digest and says why.
 """
 
@@ -15,7 +15,7 @@ from aisemiring.derivation import format_derivation, search_derivation
 from aisemiring.enumeration import enumerate_ai_semirings
 from aisemiring.satisfaction import holds_inequality
 from aisemiring.verify import (SOUNDNESS_BOUNDS, _random_reachable_claim, _random_sigma,
-                               random_inequality)
+                               random_inequality, run_claims)
 
 
 def sha256(lines) -> str:
@@ -77,4 +77,13 @@ def test_derivation_searches():
 def test_counterexamples():
     assert sha256(counterexample_lines()) == (
         "b3149bc5cc654adb8a61f3e055ea299d22005aa3989d1141bfb93e08925a4c0d"
+    )
+
+
+def test_paper_verify_report():
+    # the --json report without its "seconds" lines, the only part that
+    # varies from run to run
+    report = run_claims(full=True).to_json().splitlines()
+    assert sha256(line for line in report if '"seconds"' not in line) == (
+        "b8252f06d59eee665aae5b8be385c3d1849e031849e756aec05a27143449f169"
     )
