@@ -3,8 +3,8 @@
 Each digest covers a text rendering of many answers at once: the order-4
 census, seeded derivation searches, seeded counterexamples and the
 ``paper-verify --full`` report. A change that is meant to keep every answer
-byte-identical must leave all four digests as they are. A change that alters an answer on purpose updates the
-digest and says why.
+byte-identical must leave all four digests as they are. A change that
+alters an answer on purpose updates the digest and says why.
 """
 
 import hashlib
