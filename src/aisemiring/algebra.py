@@ -381,7 +381,7 @@ def registry(name: str) -> FiniteAiSemiring:
 #   elements <label> <label> ...
 #   add          (then k rows of k labels)
 #   mul          (then k rows of k labels)
-# '#' starts a comment line.
+# '#' starts a comment line, so no label may begin with '#'.
 
 
 def serialize_algebra(S: FiniteAiSemiring) -> str:
@@ -397,72 +397,58 @@ def parse_algebra_raw(text: str) -> tuple[str, tuple[str, ...], list[list[int]],
     """Parse the file format without the axiom check; returns
     (name, labels, add, mul). Raises AlgebraSyntaxError with a line number
     on malformed input."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line.split()))
-
+    # the content rows, last first, so that pop() reads them in file order
+    rows = [(lineno, line.split())
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")][::-1]
     if not rows:
         raise AlgebraSyntaxError("empty algebra file")
-    last = rows[-1][0]  # where an error at the end of the file is reported
-    pos = 0
+    last = rows[0][0]  # where an error at the end of the file is reported
 
     def expect(keyword: str, arity: int | None) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(rows):
+        """The next row's line and its fields after ``keyword``, ``arity`` of them if set."""
+        if not rows:
             raise AlgebraSyntaxError(f"unexpected end of file, expected {keyword!r}", last)
-        lineno, fields = rows[pos]
-        pos += 1
-        if fields[0] != keyword:
-            raise AlgebraSyntaxError(
-                f"expected {keyword!r}, found {fields[0]!r}", lineno
-            )
-        if arity is not None and len(fields) != arity:
-            raise AlgebraSyntaxError(f"{keyword!r} takes {arity - 1} argument(s)", lineno)
-        return lineno, fields
+        lineno, (head, *rest) = rows.pop()
+        if head != keyword:
+            raise AlgebraSyntaxError(f"expected {keyword!r}, found {head!r}", lineno)
+        if arity is not None and len(rest) != arity:
+            raise AlgebraSyntaxError(f"{keyword!r} takes {arity} argument(s)", lineno)
+        return lineno, rest
 
-    _, fields = expect("algebra", 2)
-    name = fields[1]
-    lineno, fields = expect("elements", None)
-    labels = fields[1:]
+    _, (name,) = expect("algebra", 1)
+    lineno, labels = expect("elements", None)
     if not labels:
         raise AlgebraSyntaxError("no element labels", lineno)
     if len(set(labels)) != len(labels):
         raise AlgebraSyntaxError("duplicate element labels", lineno)
+    if hashed := [lab for lab in labels if lab.startswith("#")]:
+        raise AlgebraSyntaxError(f"element label {hashed[0]!r} begins with '#'", lineno)
     k = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
 
     def read_table(keyword: str) -> list[list[int]]:
-        nonlocal pos
-        expect(keyword, 1)
+        expect(keyword, 0)
         table = []
-        for _ in range(k):
-            if pos >= len(rows):
+        while len(table) < k:
+            if not rows:
                 raise AlgebraSyntaxError(
                     f"table/label arity mismatch: {keyword!r} table needs {k} rows, "
                     f"found {len(table)}", last)
-            lineno, fields = rows[pos]
-            pos += 1
+            lineno, fields = rows.pop()
             if len(fields) != k:
                 raise AlgebraSyntaxError(
                     f"table/label arity mismatch: row has {len(fields)} entries, "
-                    f"expected {k}",
-                    lineno,
-                )
-            row = []
-            for lab in fields:
-                if lab not in index:
-                    raise AlgebraSyntaxError(f"unknown element label {lab!r}", lineno)
-                row.append(index[lab])
-            table.append(row)
+                    f"expected {k}", lineno)
+            if unknown := [lab for lab in fields if lab not in index]:
+                raise AlgebraSyntaxError(f"unknown element label {unknown[0]!r}", lineno)
+            table.append([index[lab] for lab in fields])
         return table
 
     add = read_table("add")
     mul = read_table("mul")
-    if pos != len(rows):
-        lineno, fields = rows[pos]
+    if rows:
+        lineno, fields = rows[-1]
         raise AlgebraSyntaxError(f"trailing content {' '.join(fields)!r}", lineno)
     return name, tuple(labels), add, mul
 

@@ -437,11 +437,8 @@ def parse_derivation(text: str) -> Derivation:
         if not line:
             continue
         last = lineno
-        if line == "sigma:":
-            section = "sigma"
-            continue
-        if line == "chain:":
-            section = "chain"
+        if line in ("sigma:", "chain:"):
+            section = line[:-1]
             continue
         if line.startswith("step:"):
             raw_steps.append((lineno, line[len("step:"):]))
@@ -459,8 +456,7 @@ def parse_derivation(text: str) -> Derivation:
         raise DerivationSyntaxError("no chain section", last)
     if len(raw_steps) != len(chain) - 1:
         raise DerivationSyntaxError(
-            f"{len(raw_steps)} step lines for a chain of {len(chain)} terms", last
-        )
+            f"{len(raw_steps)} step lines for a chain of {len(chain)} terms", last)
     steps = [_parse_step(body, lineno, sigma) for lineno, body in raw_steps]
     return Derivation(sigma, chain, steps)
 
@@ -482,9 +478,7 @@ def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep
         raise DerivationSyntaxError("step needs a 'rule N forward|backward' field", lineno)
     parts = head.split()
     if len(parts) != 2 or parts[1] not in ("forward", "backward"):
-        raise DerivationSyntaxError(
-            "rule field must be 'rule <index> forward|backward'", lineno
-        )
+        raise DerivationSyntaxError("rule field must be 'rule <index> forward|backward'", lineno)
     try:
         idx = int(parts[0])
     except ValueError:
@@ -492,35 +486,23 @@ def _parse_step(body: str, lineno: int, sigma: list[Identity]) -> DerivationStep
     if not 1 <= idx <= len(sigma):
         raise DerivationSyntaxError(f"rule index {idx} out of range", lineno)
 
-    def word_field(name: str) -> tuple[Variable, ...]:
-        value = fields.get(name, "-")
-        if value in ("-", ""):
-            return ()
-        return _parse_at(parse_word, value, lineno).letters
-
-    rest_text = fields.get("rest", "-")
-    remainder = None
-    if rest_text not in ("-", ""):
-        remainder = _parse_at(parse_term, rest_text, lineno)
+    # '-' or an empty value means the field is absent
+    given = {key: value for key, value in fields.items() if value not in ("-", "")}
+    remainder = _parse_at(parse_term, given["rest"], lineno) if "rest" in given else None
     mapping: dict[Variable, Term] = {}
-    sub_text = fields.get("sub", "-")
-    if sub_text not in ("-", ""):
-        for item in sub_text.split(","):
-            if ":=" not in item:
-                raise DerivationSyntaxError(
-                    f"binding {item.strip()!r} needs ':='", lineno
-                )
-            var, image = item.split(":=", 1)
-            var = var.strip()
-            if var in mapping:
-                raise DerivationSyntaxError(f"duplicate binding for {var}", lineno)
-            mapping[_parse_at(check_variable, var, lineno)] = _parse_at(
-                parse_term, image, lineno)
+    for item in given["sub"].split(",") if "sub" in given else ():
+        if ":=" not in item:
+            raise DerivationSyntaxError(f"binding {item.strip()!r} needs ':='", lineno)
+        var, image = item.split(":=", 1)
+        var = var.strip()
+        if var in mapping:
+            raise DerivationSyntaxError(f"duplicate binding for {var}", lineno)
+        mapping[_parse_at(check_variable, var, lineno)] = _parse_at(parse_term, image, lineno)
     return DerivationStep(
         rule=sigma[idx - 1],
         forward=parts[1] == "forward",
-        left=word_field("left"),
-        right=word_field("right"),
+        left=_parse_at(parse_word, given["left"], lineno).letters if "left" in given else (),
+        right=_parse_at(parse_word, given["right"], lineno).letters if "right" in given else (),
         remainder=remainder,
         subst=Substitution(mapping),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FiniteAiSemiring
-from .satisfaction import SatisfactionVerdict, VariableBudgetError, holds_inequality
+from .satisfaction import SatisfactionVerdict, VariableBudgetError, _guard, holds_inequality
 from .terms import Term, Word
 
 #: largest n accepted without force=True (the assignment space is
@@ -68,6 +68,8 @@ def in_W(S: FiniteAiSemiring, n_max: int = MAX_N_WITHOUT_FORCE, *,
             f"n_max={n_max} needs {2 * n_max + 3} variables",
             f"pass force=True (CLI: --force) to go beyond n_max={MAX_N_WITHOUT_FORCE}",
         )
+    # instance n has 2n + 3 variables, so the largest n is the largest scan
+    _guard(S.order, 2 * n_max + 3, force)
     out = []
     for n in range(1, n_max + 1):
         fam = make_family(n)

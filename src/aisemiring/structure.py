@@ -27,9 +27,10 @@ class Partition:
     __slots__ = ("blocks", "size", "block_of")
 
     def __init__(self, blocks: Iterable[Iterable[int]], size: int | None = None):
-        bl = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        if not bl or any(not b for b in bl):
+        bl = [frozenset(b) for b in blocks]
+        if not bl or not all(bl):
             raise ValueError("blocks must be nonempty")
+        bl = tuple(sorted(bl, key=min))
         count = sum(len(b) for b in bl)
         union = frozenset(x for b in bl for x in b)
         if len(union) != count:

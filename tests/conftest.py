@@ -1,9 +1,35 @@
+import faulthandler
 import gc
+import os
 from contextlib import contextmanager
 
 import pytest
 
 from aisemiring.algebra import registry
+
+#: a test that runs longer than this is taken to hang: every thread's
+#: traceback is written to stderr and the run exits nonzero (the slowest
+#: test takes a few seconds)
+PER_TEST_SECONDS = 120
+#: a copy of the terminal's stderr, made while output capture is suspended;
+#: what a test writes to its own stderr is lost when the run exits
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _hang_limit(request):
+    faulthandler.dump_traceback_later(
+        PER_TEST_SECONDS, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -178,6 +178,14 @@ class TestValidate:
         assert validate(one, one).ok
         assert validate(np.array(one, np.uint8), np.array(one, np.int32)).ok
 
+    def test_constructor_checks_orders_and_labels(self):
+        one = [[0, 0], [0, 1]]
+        differ = "^addition and multiplication tables differ in order$"
+        with pytest.raises(TableFormatError, match=differ):
+            FiniteAiSemiring("T", "ab", one, [[0]])
+        with pytest.raises(TableFormatError, match="^table/label arity mismatch$"):
+            FiniteAiSemiring("T", "abc", one, one)
+
     def test_reports_multiple_violations(self):
         # constant-0 add table breaks idempotency at every non-zero element
         report = validate([[0, 0], [0, 0]], [[0, 0], [0, 0]])
@@ -458,6 +466,10 @@ class TestFileFormat:
         text = "# header\n" + serialize_algebra(S2) + "# trailer\n"
         assert parse_algebra(text) == S2
 
+    def test_hash_inside_a_label(self):
+        text = "algebra x#\nelements a# b\nadd\na# a#\na# b\nmul\na# a#\na# b\n"
+        assert parse_algebra_raw(text) == ("x#", ("a#", "b"), [[0, 0], [0, 1]], [[0, 0], [0, 1]])
+
     def test_arity_mismatch(self):
         text = "algebra x\nelements 1 2 3\nadd\n1 1 1 1\n"
         with pytest.raises(AlgebraSyntaxError, match="arity mismatch"):
@@ -483,6 +495,18 @@ class TestFileFormat:
         ("algebra S2\nelements 1 2\nadd\n1 1\n\n",
          "line 4: table/label arity mismatch: 'add' table needs 2 rows, found 1"),
         (S2_TEXT + "1 2\n", "line 9: trailing content '1 2'"),
+        ("elements 1 2\n", "line 1: expected 'algebra', found 'elements'"),
+        ("algebra S2\nelements 1 2\nadd 1\n", "line 3: 'add' takes 0 argument(s)"),
+        ("algebra S2\nelements 1 2\nadd\n1 1 1\n",
+         "line 4: table/label arity mismatch: row has 3 entries, expected 2"),
+        # the first unknown label of the row is named
+        ("algebra S2\nelements 1 2\nadd\n1 1\n3 4\n", "line 5: unknown element label '3'"),
+        ("algebra S2\nelements 1 2\nadd\n1 1\n1 2\n# no mul\n",
+         "line 5: unexpected end of file, expected 'mul'"),
+        # a row that began with the label would be read as a comment
+        ("algebra S2\nelements #a b\nadd\n#a #a\n#a b\n",
+         "line 2: element label '#a' begins with '#'"),
+        ("algebra S2\nelements 1 1 #\n", "line 2: duplicate element labels"),
     ])
     def test_malformed_file(self, text, message):
         with pytest.raises(AlgebraSyntaxError) as exc:

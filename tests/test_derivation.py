@@ -261,6 +261,17 @@ step: rule 1 forward; left -; right -; rest z; sub x := x, y := y
             (lambda s: s.replace("rule 1", "rule one"), "line 7: bad rule index 'one'"),
             (lambda s: s.replace("sub x := x, y := y", "sub x = y"),
              "line 7: binding 'x = y' needs ':='"),
+            (lambda s: s.replace("left -", "middle -"), "line 7: unknown step field 'middle'"),
+            (lambda s: s.replace("; sub", "; rest z; sub"), "line 7: repeated step field 'rest'"),
+            # with two bad fields, the one parsed first is reported: rest,
+            # then sub, then left, then right
+            (lambda s: s.replace("rest z; sub x := x, y := y", "rest +; sub x = y"),
+             r"line 7: empty summand in '\+'"),
+            (lambda s: s.replace("left -; right -; rest z; sub x := x, y := y",
+                                 "left 1x; right -; rest z; sub x = y"),
+             "line 7: binding 'x = y' needs ':='"),
+            (lambda s: s.replace("left -; right -", "left 1x; right 2y"),
+             "line 7: illegal identifier starting at '1x'"),
         ],
     )
     def test_syntax_errors(self, mutation, match):

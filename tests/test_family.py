@@ -1,5 +1,6 @@
 import pytest
 
+from aisemiring import _kernels
 from aisemiring.algebra import FiniteAiSemiring, registry
 from aisemiring.family import FamilyVerdict, in_W, make_family, member_of_W
 from aisemiring.satisfaction import VariableBudgetError, decide_s2, decide_s53, decide_s7
@@ -76,6 +77,18 @@ class TestMembership:
             in_W(S2, 4)
         verdicts = in_W(S2, 4, force=True)
         assert len(verdicts) == 4 and all(v.holds for v in verdicts)
+
+    def test_budget_is_checked_before_any_scan(self, monkeypatch):
+        # on a 12-element chain, n = 1 and 2 fit the budget and n = 3 does not
+        chain = [[max(i, j) for j in range(12)] for i in range(12)]
+        S = FiniteAiSemiring("chain12", [str(i) for i in range(12)], chain, chain)
+
+        def no_scan(*args):
+            raise AssertionError("scanned before the budget was checked")
+
+        monkeypatch.setattr(_kernels, "first_violation", no_scan)
+        with pytest.raises(VariableBudgetError, match=r"^12\^9 assignments exceed the budget"):
+            in_W(S, 3)
 
     def test_nmax_validation(self, S2):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aisemiring import _kernels, enumeration
-from aisemiring.algebra import REGISTRY_NAMES, registry
+from aisemiring.algebra import REGISTRY_NAMES, FiniteAiSemiring, registry
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_semilattices
 from aisemiring.terms import Term, Word, content
 from aisemiring.verify import random_inequality
@@ -65,10 +65,9 @@ def scan_both(S, term_a, term_b, variables, mode):
 
 
 #: an order-2 ai-semiring for the scan tests (the registry has none): the
-#: product is 0 on (0, 0) and 1 everywhere else
-ORDER2 = next(
-    S for S in enumerate_ai_semirings(2) if S.mul.tolist() == [[0, 1], [1, 1]]
-)
+#: product is 0 on (0, 0) and 1 everywhere else; a literal, so that a broken
+#: census fails the test that checks it is a member, not the module's import
+ORDER2 = FiniteAiSemiring("A2_005", "12", [[0, 0], [0, 1]], [[0, 1], [1, 1]])
 
 
 def _random_check(rng, nvars):
@@ -149,6 +148,10 @@ def random_tables(rng, k, count):
 
 
 class TestScan:
+    def test_order2_is_a_census_member(self):
+        (member,) = [S for S in enumerate_ai_semirings(2) if S == ORDER2]
+        assert member.name == ORDER2.name
+
     @pytest.mark.parametrize("name,nvars", [
         ("order2", 17), ("S7", 11), ("S53", 11), ("S4_124", 9),
         ("S4_359", 9), ("R6", 7),

@@ -31,6 +31,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([[0], [2]], size=3)
 
+    def test_rejects_empty_blocks(self):
+        for blocks in ([], [[0], []]):
+            with pytest.raises(ValueError, match="^blocks must be nonempty$"):
+                Partition(blocks)
+
+    def test_meet_needs_one_carrier(self):
+        with pytest.raises(ValueError, match="^partitions have different carriers$"):
+            Partition.discrete(2).meet(Partition.discrete(3))
+
     def test_closing_fills_singletons(self):
         P = Partition.closing([[0, 2]], 4)
         assert P.blocks == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
@@ -44,6 +53,10 @@ class TestPartition:
 class TestCongruence:
     def test_s4_124_block_12(self, S4_124):
         assert is_congruence(S4_124, Partition.closing([[0, 1]], 4)).ok
+
+    def test_partition_must_match_the_carrier(self, S4_124):
+        with pytest.raises(ValueError, match="^partition does not match the carrier$"):
+            is_congruence(S4_124, Partition.discrete(3))
 
     def test_discrete_always(self):
         for name in REGISTRY:
@@ -137,6 +150,13 @@ class TestSubalgebra:
 
     def test_whole_carrier(self, S7):
         assert subalgebra(S7, range(3)) == S7
+
+    def test_subset_must_be_nonempty_and_in_range(self, S7):
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            subalgebra(S7, [])
+        for subset in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="^subset contains out-of-range elements$"):
+                subalgebra(S7, subset)
 
     def test_not_closed_reports_witness(self, S4_124):
         # {3, 4} is not additively closed: 3 + 4 = 1

@@ -192,6 +192,11 @@ class TestAttributes:
         assert level_geq(2, u) == {w("yz"), w("abc")}
         assert level_geq(2, t("x + y")) == frozenset()
 
+    def test_level_index_starts_at_one(self):
+        for f in (level, level_geq):
+            with pytest.raises(ValueError, match="^level index must be >= 1$"):
+                f(0, t("x"))
+
     def test_is_linear(self):
         assert is_linear(w("x1x2x3"))
         assert not is_linear(w("x1x1"))
