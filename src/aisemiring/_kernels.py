@@ -9,11 +9,13 @@ of the additive semilattice, chosen by index from the precomputed set of
 them, whose joins and compositions are tabled, so setting a row checks
 right distributivity and associativity as row equations and forces the
 rows they name, for a whole block of partial tables at once. Canonical
-forms relabel a table under all k! carrier permutations in one gather and
-take the least row, rows compared as byte strings, with the permutations
-reaching it (for a canonical table, its automorphisms). ``canonical_pairs``
-relabels a whole stack of uint8 multiplication tables under each of those
-permutations with one column gather and one renaming.
+forms relabel a table, or a stack of tables together, under all k! carrier
+permutations in one gather and take the least row, rows compared as byte
+strings, with the permutations reaching it (for a canonical table, its
+automorphisms). Equal canonical forms of (add, mul) are the isomorphism
+test. ``canonical_pairs`` relabels a whole stack of uint8 multiplication
+tables under each of those permutations with one column gather and one
+renaming.
 
 The scan is a broadcast over a k x ... x k grid with one axis per variable.
 Each word is evaluated once, over the axes of its own variables only, as a
@@ -261,19 +263,22 @@ def permutation_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, cells
 
 
-def _least_relabelling(table) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The least relabelling of a (k, k) table as row-major uint8 bytes, the
-    permutations giving it, one per row (Aut(table) when it is canonical),
-    and the cells each of them reads.
+def _least_relabelling(tables) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The least joint relabelling of a (k, k) table, or of a stack of n of
+    them, as row-major uint8 bytes, table after table; the permutations
+    giving it, one per row (the common automorphisms when it is canonical);
+    and the cells of one table each of them reads.
 
-    Every relabelling comes from one gather: row p of ``forms`` reads the
+    Every relabelling comes from one gather: row p of ``forms`` reads each
     table at p's cells and renames each entry by p. The rows are compared
-    as byte strings of k*k bytes, which numpy orders lexicographically."""
-    arr = np.ascontiguousarray(table, dtype=np.int64)
-    k = arr.shape[0]
+    as byte strings of n*k*k bytes, which numpy orders lexicographically."""
+    arr = np.ascontiguousarray(tables, dtype=np.uint8)
+    k = arr.shape[-1]
+    flat = arr.reshape(-1, k * k)
     perms, cells = permutation_arrays(k)
-    forms = np.take_along_axis(perms, arr.ravel()[cells], axis=1).astype(np.uint8)
-    least = forms[np.argmin(forms.view(f"S{k * k}"))]
+    gathered = np.moveaxis(flat[:, cells], 1, 0).reshape(len(perms), -1)
+    forms = np.take_along_axis(perms, gathered, axis=1).astype(np.uint8)
+    least = forms[np.argmin(forms.view(f"S{flat.size}"))]
     reach = (forms == least).all(axis=1)
     return least.tobytes(), perms[reach], cells[reach]
 
@@ -304,7 +309,7 @@ def canonical_pairs(add, muls) -> list[bytes]:
 
 
 def canonical_pair(add, mul) -> bytes:
-    return canonical_pairs(add, np.asarray(mul)[None, :, :])[0]
+    return _least_relabelling(np.stack([add, mul]))[0]
 
 
 def canonical_table(table) -> bytes:

@@ -1,13 +1,15 @@
 """Command-line surface; every subcommand is a thin wrapper over the library.
 
 Exit codes: 0 success, 1 semantic failure (axiom violation, failed
-inequality, failed claim, exhausted search), 2 usage or syntax errors.
+inequality, failed claim, exhausted search) or a closed stdout, 2 usage or
+syntax errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -285,7 +287,10 @@ def cmd_subalgebra(args) -> int:
 def cmd_iso(args) -> int:
     A = _load_algebra(args.first)
     B = _load_algebra(args.second)
-    perm = find_isomorphism(A, B)
+    try:
+        perm = find_isomorphism(A, B)
+    except ValueError as exc:
+        raise _usage(str(exc)) from None
     if perm is None:
         print("not isomorphic")
         return SEMANTIC_ERROR
@@ -526,7 +531,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed stdout raises inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull, so that flushing it
+        # again at exit raises nothing, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return SEMANTIC_ERROR
     except CliError as exc:
         message, code = str(exc), exc.code
     except TermSyntaxError as exc:

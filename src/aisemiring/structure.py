@@ -2,8 +2,8 @@
 
 Congruences are partitions compatible with both Cayley tables; quotients,
 subalgebras, direct products, and subdirect decompositions are all small
-enough here that brute force (over blocks, bijections, or set partitions)
-is the honest tool.
+enough here that brute force (over blocks or set partitions) is the honest
+tool. Isomorphism is decided by the census's canonical forms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._kernels import _least_relabelling
 from .algebra import FiniteAiSemiring
+
+#: largest carrier that congruence enumeration (Bell(k) partitions) and the
+#: isomorphism test (k! relabellings of k*k cells) take; larger ones are
+#: refused before any work
+MAX_ORDER = 8
 
 
 class Partition:
@@ -192,13 +198,21 @@ def subalgebra(S: FiniteAiSemiring, subset: Iterable[int]) -> FiniteAiSemiring:
 
 
 def find_isomorphism(A: FiniteAiSemiring, B: FiniteAiSemiring) -> tuple[int, ...] | None:
-    """First table-preserving bijection in lexicographic order, or None."""
+    """The lexicographically least table-preserving bijection, or None.
+
+    Each permutation reaching A's canonical form is an isomorphism from A
+    to the form, and so is the first one reaching B's from B; so when the
+    forms are equal, the isomorphisms A -> B are exactly the inverse of
+    B's first permutation after each of A's."""
     if A.order != B.order:
         return None
-    for perm in itertools.permutations(range(A.order)):
-        if Homomorphism(A, B, perm).is_valid():
-            return perm
-    return None
+    if A.order > MAX_ORDER:
+        raise ValueError(f"carrier too large: the isomorphism test is capped at {MAX_ORDER}")
+    form_a, pa, _ = _least_relabelling(np.stack([A.add, A.mul]))
+    form_b, pb, _ = _least_relabelling(np.stack([B.add, B.mul]))
+    if form_a != form_b:
+        return None
+    return min(map(tuple, np.argsort(pb[0])[pa].tolist()))
 
 
 def are_isomorphic(A: FiniteAiSemiring, B: FiniteAiSemiring) -> bool:
@@ -285,6 +299,6 @@ def all_partitions(k: int) -> Iterator[Partition]:
 
 def enumerate_congruences(S: FiniteAiSemiring) -> list[Partition]:
     """All congruences of S, found by filtering all set partitions."""
-    if S.order > 8:
-        raise ValueError("carrier too large: congruence enumeration is capped at 8")
+    if S.order > MAX_ORDER:
+        raise ValueError(f"carrier too large: congruence enumeration is capped at {MAX_ORDER}")
     return [P for P in all_partitions(S.order) if is_congruence(S, P)]

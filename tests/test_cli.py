@@ -13,7 +13,7 @@ from aisemiring import cli
 from aisemiring.algebra import parse_algebra, registry, serialize_algebra
 from aisemiring.cli import build_parser, main
 from aisemiring.enumeration import enumerate_ai_semirings
-from aisemiring.structure import are_isomorphic
+from aisemiring.structure import are_isomorphic, direct_product
 from aisemiring import verify
 
 
@@ -31,6 +31,14 @@ def usage_error(capsys, *argv):
 
 
 FAMILY_U1 = "x1x2 + x2x3 + x3x1 + y1y2 + y2y1 + y1"
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the checkout's src first on PYTHONPATH, so that
+    `python -m aisemiring` runs this package installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def readme_command_lines() -> list[str]:
@@ -88,18 +96,36 @@ class TestValidate:
         good, bad = tmp_path / "s7.alg", tmp_path / "empty.alg"
         good.write_text(serialize_algebra(registry("S7")))
         bad.write_text("")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         results = [
             subprocess.run([sys.executable, "-m", "aisemiring", "validate", str(path)],
-                           capture_output=True, text=True, env=env, timeout=60)
+                           capture_output=True, text=True, env=subprocess_env(),
+                           timeout=60)
             for path in (good, bad)
         ]
         assert (results[0].returncode, results[0].stdout, results[0].stderr) == (
             0, "S7: valid ai-semiring of order 3\n", "")
         assert (results[1].returncode, results[1].stdout) == (2, "")
         assert results[1].stderr == f"error: {bad}: empty algebra file\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        # output flushed at exit, and output past the buffer mid-command
+        ("iso", "S53", "S53"),
+        ("enumerate", "--order", "4"),
+    ])
+    def test_exits_1_without_a_traceback(self, argv):
+        # stdout block-buffered, as it is by default on a pipe
+        env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "aisemiring", *argv],
+                                    stdout=write, stderr=subprocess.PIPE, env=env,
+                                    timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, b"")
 
 
 class TestHolds:
@@ -290,6 +316,15 @@ class TestStructureCommands:
         assert code == 0 and "isomorphic" in out
         code, out, _ = run(capsys, "iso", "S2", "S53")
         assert code == 1 and "not isomorphic" in out
+
+    def test_iso_refuses_a_carrier_over_the_cap(self, tmp_path, capsys):
+        big = serialize_algebra(direct_product(registry("S7"), registry("S53")))
+        paths = [tmp_path / "a.alg", tmp_path / "b.alg"]
+        for path in paths:
+            path.write_text(big)
+        code, out, err = run(capsys, "iso", *map(str, paths))
+        assert (code, out) == (2, "")
+        assert err == "error: carrier too large: the isomorphism test is capped at 8\n"
 
     def test_subdirect(self, capsys):
         code, out, _ = run(

@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from aisemiring.algebra import FiniteAiSemiring, registry, validate
+from aisemiring import _kernels
+from aisemiring.algebra import REGISTRY_NAMES, FiniteAiSemiring, registry, validate
 from aisemiring.enumeration import enumerate_ai_semirings
 from aisemiring.structure import (
+    MAX_ORDER,
     ClosureError,
     Homomorphism,
     Partition,
@@ -22,6 +24,47 @@ from aisemiring.structure import (
 )
 
 REGISTRY = ["S2", "S7", "S53", "S4_124", "S4_359", "R6"]
+
+
+def loop_find_isomorphism(A, B):
+    """Reference isomorphism test: the function as it was before canonical
+    forms, trying all k! bijections in lexicographic order and returning
+    the first that preserves both tables."""
+    if A.order != B.order:
+        return None
+    for perm in itertools.permutations(range(A.order)):
+        if Homomorphism(A, B, perm).is_valid():
+            return perm
+    return None
+
+
+def relabelled(S, rng):
+    """A copy of S whose element sigma(x) is S's x, for a seeded
+    permutation sigma: its tables are sigma(S[x, y]) at (sigma(x), sigma(y))."""
+    sigma = np.array(rng.sample(range(S.order), S.order))
+    inv = np.argsort(sigma)
+    cells = np.ix_(inv, inv)
+    return FiniteAiSemiring(S.name + "'", [S.labels[x] for x in inv],
+                            sigma[S.add[cells]], sigma[S.mul[cells]])
+
+
+@pytest.fixture(scope="module")
+def agreement_pairs():
+    """Every ordered pair of the 68 classes of order <= 3; each order-4
+    class and registry algebra against itself and a seeded relabelling, in
+    both directions; each order-4 class against the next; and every
+    ordered pair of registry algebras."""
+    small = [S for k in (1, 2, 3) for S in enumerate_ai_semirings(k)]
+    order4 = enumerate_ai_semirings(4)
+    reg = [registry(name) for name in REGISTRY_NAMES]
+    rng = random.Random(26)
+    pairs = list(itertools.product(small, repeat=2))
+    for S in order4 + reg:
+        T = relabelled(S, rng)
+        pairs += [(S, S), (S, T), (T, S)]
+    pairs += zip(order4, order4[1:])
+    pairs += itertools.product(reg, repeat=2)
+    return pairs
 
 
 class TestPartition:
@@ -179,6 +222,38 @@ class TestIsomorphism:
         perm = find_isomorphism(Q, S7)
         h = Homomorphism(Q, S7, perm)
         assert h.is_valid() and h.is_bijective()
+
+    def test_matches_the_loop(self, agreement_pairs):
+        # the same least map wherever the loop finds one, None elsewhere
+        assert len(agreement_pairs) == 8141
+        isomorphic = 0
+        for A, B in agreement_pairs:
+            found = find_isomorphism(A, B)
+            assert found == loop_find_isomorphism(A, B), (A.name, B.name)
+            if found is not None:
+                assert all(type(x) is int for x in found)
+                isomorphic += 1
+        assert isomorphic == 2690
+
+    def test_canonical_pair_is_the_one_table_census_form(self, agreement_pairs):
+        algebras = {id(S): S for pair in agreement_pairs for S in pair}.values()
+        for S in algebras:
+            assert _kernels.canonical_pair(S.add, S.mul) == (
+                _kernels.canonical_pairs(S.add, S.mul[None])[0])
+
+    def test_order_above_the_cap_is_refused_before_any_relabelling(
+            self, S7, S53, monkeypatch):
+        def refused(k):
+            raise AssertionError(f"permutation_arrays({k}) called")
+
+        big = direct_product(S7, S53)
+        assert big.order == MAX_ORDER + 1
+        monkeypatch.setattr(_kernels, "permutation_arrays", refused)
+        with pytest.raises(ValueError, match=(
+                "^carrier too large: the isomorphism test is capped at 8$")):
+            find_isomorphism(big, big)
+        # carriers of different sizes need no relabelling
+        assert find_isomorphism(big, S7) is None
 
     def test_reflexive_symmetric_on_pool(self):
         rng = random.Random(5)
