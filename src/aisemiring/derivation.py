@@ -26,7 +26,6 @@ from .terms import (
     parse_term,
     parse_word,
     print_term,
-    term_key,
     wrap,
 )
 
@@ -115,11 +114,8 @@ class SearchBounds:
     max_subst_image: int = 3
 
     def admits(self, t: Term) -> bool:
-        return self._admits_words([w.letters for w in t.words])
-
-    def _admits_words(self, words) -> bool:
-        """``admits`` on a term given as a collection of letter tuples."""
-        return len(words) <= self.max_summands and max(map(len, words)) <= self.max_word_len
+        return (len(t.words) <= self.max_summands
+                and max(len(w.letters) for w in t.words) <= self.max_word_len)
 
 
 @dataclass
@@ -165,53 +161,19 @@ def _match_word(pattern: Letters, seg: Letters, binding: Binding,
     return out
 
 
-def _match_term(src_words: list[Letters], t_words: list[Letters], max_img: int):
-    """Yield every (binding, left, right) with every word of src (longest
-    first) mapping into a word of t under the shared contexts. Bindings send
-    variables to single words."""
-    # no result repeats: _match_word consumes the whole segment, so a
-    # binding fixes the image of each source word, and with the contexts
-    # its host word (left + image + right) and span
-    anchor, others = src_words[0], src_words[1:]
-    for ls in t_words:
-        for i in range(len(ls)):
-            for j in range(i + 1, len(ls) + 1):
-                left, right = ls[:i], ls[j:]
-                for b0 in _match_word(anchor, ls[i:j], {}, max_img):
-                    candidates = [b0]
-                    for w in others:
-                        extended = []
-                        for cand in candidates:
-                            for ly in t_words:
-                                if len(ly) <= len(left) + len(right):
-                                    continue
-                                if ly[: len(left)] != left:
-                                    continue
-                                if right and ly[len(ly) - len(right):] != right:
-                                    continue
-                                seg = ly[len(left): len(ly) - len(right)]
-                                extended.extend(_match_word(w, seg, cand, max_img))
-                        candidates = extended
-                        if not candidates:
-                            break
-                    for cand in candidates:
-                        yield cand, left, right
-
-
 #: most words a rewritten image may have for every subset of it to be tried
 _SUBSET_CAP = 3
 
 
-def _subsets(words: frozenset[Letters]):
-    """Subsets of a small word set (all of them if small, else just the two
-    extremes); the remainder may keep any part of the rewritten image."""
-    ws = sorted(words, key=lambda letters: (len(letters), letters))
-    if len(ws) <= _SUBSET_CAP:
-        for r in range(len(ws) + 1):
-            yield from (frozenset(c) for c in itertools.combinations(ws, r))
-    else:
-        yield frozenset()
-        yield frozenset(ws)
+def _subsets(bits: list[int]) -> list[int]:
+    """The subsets of a small set of word bits, as masks: all of them, by
+    size and then by position in ``bits``, if there are at most
+    _SUBSET_CAP, else just the two extremes. The remainder may keep any
+    part of the rewritten image."""
+    if len(bits) <= _SUBSET_CAP:
+        return [sum(c) for r in range(len(bits) + 1)
+                for c in itertools.combinations(bits, r)]
+    return [0, sum(bits)]
 
 
 def _image(word: Letters, binding: Binding) -> Letters:
@@ -239,44 +201,190 @@ def _orientations(sigma: list[Identity]):
     return out
 
 
-def _rewrites(rules, t: TermKey, bounds: SearchBounds, image_pool: list[Variable]):
-    """Every one-step rewrite of the term with sort key ``t``, on raw letter
-    tuples, in a fixed order: ``(t_next, witnesses)`` for each rewrite
-    inside the bounds, where ``t_next`` is the next term as a frozenset of
-    letter tuples and ``witnesses`` is ``(rule, forward, left, right, kept,
-    binding)``, and None for each rewrite pruned by the bounds. Rewrites
-    that give back t are skipped.
+class _Match:
+    """A match of the first source words of a rule orientation, in order,
+    into host words under the word contexts ``left`` and ``right``; the
+    bits of those host words are ``base``. ``below`` maps a host word to
+    the matches that extend this one by the next source word there; once
+    every source word is matched, ``rewrite`` holds what the match rewrites
+    to (see :meth:`_WordTable.completed`)."""
 
-    ``rules`` comes from :func:`_orientations`; variables of the target
-    side that the match leaves unbound are instantiated from
-    ``image_pool``.
+    __slots__ = ("orientation", "binding", "left", "right", "base", "below", "rewrite")
+
+    def __init__(self, orientation, binding: Binding, left: Letters, right: Letters,
+                 base: int):
+        self.orientation = orientation
+        self.binding = binding
+        self.left = left
+        self.right = right
+        self.base = base
+        self.below: dict[Letters, list[_Match]] = {}
+        self.rewrite = None
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _WordTable:
+    """The rewriting state of one call of :func:`sorted_rewrites` or
+    :func:`search_derivation`, dropped when the call returns.
+
+    Each distinct word (letter tuple) met gets one bit, so a term is an int:
+    a union is ``|``, the rest of a term is ``t & ~base`` and the summand
+    count is ``int.bit_count()``. ``matches[r]`` is the memo of rule
+    orientation r: it maps a host word to the matches anchored in it, and
+    each complete match keeps its base, the subsets of that base, and each
+    image with whether its longest word fits the bounds. A rewrite then
+    costs a few integer operations, and an expansion reuses what earlier
+    expansions of the same call matched.
     """
-    t_words = [letters for _, letters in t]
-    t_set = frozenset(t_words)
-    for rule, forward, src_words, dst_words, unbound in rules:
-        guesses = list(itertools.product(image_pool, repeat=len(unbound)))
-        for binding, left, right in _match_term(src_words, t_words,
-                                                bounds.max_subst_image):
-            base = frozenset(left + _image(w, binding) + right for w in src_words)
-            rest = t_set - base
-            images = []
-            for guess in guesses:
-                full = dict(binding)
-                for v, img in zip(unbound, guess):
-                    full[v] = (img,)
-                images.append(
-                    (full, frozenset(left + _image(w, full) + right for w in dst_words))
-                )
-            for extra in _subsets(base):
-                kept = rest | extra
-                for full, image in images:
-                    t_next = image | kept
-                    if t_next == t_set:
-                        continue
-                    if not bounds._admits_words(t_next):
-                        yield None
-                        continue
-                    yield t_next, (rule, forward, left, right, kept, full)
+
+    def __init__(self, sigma: list[Identity], bounds: SearchBounds,
+                 image_pool: list[Variable]):
+        self.rules = _orientations(sigma)
+        self.bounds = bounds
+        #: the one-letter images a variable only the target side has may take
+        self.guesses = [(v,) for v in image_pool]
+        self.bit: dict[Letters, int] = {}
+        #: (length, letters) of the word at each bit index
+        self.entries: list[tuple[int, Letters]] = []
+        #: the bits of the words longer than bounds.max_word_len
+        self.long = 0
+        self.matches: list[dict[Letters, list[_Match]]] = [{} for _ in self.rules]
+
+    def mask(self, words) -> int:
+        """The term with the given words, as an int."""
+        mask = 0
+        for letters in words:
+            bit = self.bit.get(letters)
+            if bit is None:
+                bit = self.bit[letters] = 1 << len(self.entries)
+                self.entries.append((len(letters), letters))
+                if len(letters) > self.bounds.max_word_len:
+                    self.long |= bit
+            mask |= bit
+        return mask
+
+    def words(self, mask: int) -> list[Letters]:
+        return [self.entries[i][1] for i in _bits(mask)]
+
+    def key(self, mask: int) -> TermKey:
+        """The sort key of the term mask, as :func:`term_key` gives it."""
+        entries = self.entries
+        return tuple(sorted([entries[i] for i in _bits(mask)]))
+
+    def witnesses(self, rewrite) -> tuple:
+        """``(rule, forward, left, right, kept, binding)`` of a rewrite
+        from :func:`_rewrites`, with ``kept`` a frozenset of letter tuples."""
+        _, match, kept, binding = rewrite
+        rule, forward = match.orientation[:2]
+        return rule, forward, match.left, match.right, frozenset(self.words(kept)), binding
+
+    def anchored(self, r: int, host: Letters) -> list[_Match]:
+        """Matches of orientation r's longest source word into the host
+        word, each at a span [i, j) of it, in order of i, then j."""
+        orientation = self.rules[r]
+        anchor = orientation[2][0]
+        max_img = self.bounds.max_subst_image
+        base = self.bit[host]
+        found = []
+        # each letter of the anchor takes one to max_img letters of the span
+        shortest, longest = len(anchor), len(anchor) * max_img
+        for i in range(len(host) - shortest + 1):
+            for j in range(i + shortest, min(i + longest, len(host)) + 1):
+                left, right = host[:i], host[j:]
+                found.extend(_Match(orientation, b, left, right, base)
+                             for b in _match_word(anchor, host[i:j], {}, max_img))
+        self.matches[r][host] = found
+        return found
+
+    def extended(self, m: _Match, word: Letters, host: Letters) -> list[_Match]:
+        """Matches extending m by the source word ``word`` in the host word,
+        under m's contexts."""
+        left, right = m.left, m.right
+        found = []
+        if (len(host) > len(left) + len(right) and host[: len(left)] == left
+                and (not right or host[len(host) - len(right):] == right)):
+            seg = host[len(left): len(host) - len(right)]
+            base = m.base | self.bit[host]
+            found = [_Match(m.orientation, b, left, right, base)
+                     for b in _match_word(word, seg, m.binding,
+                                          self.bounds.max_subst_image)]
+        m.below[host] = found
+        return found
+
+    def completed(self, m: _Match):
+        """``(~base, subset masks, images)`` of a complete match: the
+        source side's instance in context as a mask, inverted, the subsets
+        of it a remainder may keep, and ``(binding, image mask, whether its
+        longest word fits)`` for each guess at the variables only the target
+        side has."""
+        _, _, _, dst_words, unbound = m.orientation
+        left, right, binding, base = m.left, m.right, m.binding, m.base
+        # a source word's instance in context is the whole host word it matched
+        bits = ([1 << i for i in sorted(_bits(base), key=self.entries.__getitem__)]
+                if base & (base - 1) else [base])
+        images = []
+        for guess in itertools.product(self.guesses, repeat=len(unbound)):
+            full = binding
+            if guess:
+                full = binding.copy()
+                full.update(zip(unbound, guess))
+            image = self.mask([left + _image(w, full) + right for w in dst_words])
+            images.append((full, image, not image & self.long))
+        m.rewrite = (~base, _subsets(bits), images)
+        return m.rewrite
+
+
+def _rewrites(table: _WordTable, t: int, t_key: TermKey):
+    """Every one-step rewrite of the term t, whose sort key is t_key, over
+    the call's word table, in a fixed order: ``(t_next, match, kept,
+    binding)`` for each rewrite inside the bounds, with t_next and kept as
+    masks, and None for each rewrite pruned by the bounds. Rewrites that
+    give back t are skipped.
+
+    Variables of the target side that the match leaves unbound are
+    instantiated from the table's ``guesses``. Kept words come from t, so
+    they need a length check only where t has words over the bound, which a
+    search never reaches.
+    """
+    max_summands = table.bounds.max_summands
+    long = t & table.long
+    hosts = [letters for _, letters in t_key]
+    for r, (_, _, src_words, _, _) in enumerate(table.rules):
+        memo = table.matches[r]
+        for host in hosts:
+            anchored = memo.get(host)
+            if anchored is None:
+                anchored = table.anchored(r, host)
+            for m in anchored:
+                # no match repeats: _match_word consumes the whole
+                # segment, so a binding fixes the image of each source
+                # word, and with the contexts its host word and span
+                complete = [m]
+                for word in src_words[1:]:
+                    complete = [e for c in complete for h in hosts
+                                for e in (c.below[h] if h in c.below
+                                          else table.extended(c, word, h))]
+                for c in complete:
+                    notbase, extras, images = c.rewrite or table.completed(c)
+                    rest = t & notbase
+                    for extra in extras:
+                        kept = rest | extra
+                        for binding, image, fits in images:
+                            t_next = image | kept
+                            if t_next == t:
+                                continue
+                            if (not fits or kept & long
+                                    or t_next.bit_count() > max_summands):
+                                yield None
+                                continue
+                            yield t_next, c, kept, binding
 
 
 def _step(rule: Identity, forward: bool, left: Letters, right: Letters,
@@ -298,22 +406,26 @@ def sorted_rewrites(sigma: list[Identity], t: Term, bounds: SearchBounds,
                     image_pool: list[Variable]):
     """The one-step rewrites of t as (sort key of the next term, witnesses),
     one per rule application, plus the number pruned for exceeding the
-    bounds.
+    bounds. The witnesses are ``(rule, forward, left, right, kept,
+    binding)``, with ``kept`` the remainder's words as a frozenset of letter
+    tuples and ``binding`` mapping each variable to one letter tuple.
 
     Each rule is tried in both orientations; variables of the target side
     that the match leaves unbound are instantiated from ``image_pool``.
     The list is sorted by key, stably, so the result is deterministic and
-    a term reached in several ways appears once per way. Turning a key into
-    a Term and its witnesses into a DerivationStep is left to the caller,
-    for the rewrites it keeps."""
+    a term reached in several ways appears once per way, in the order the
+    rewrites were generated. t may lie outside the bounds. Turning a key
+    into a Term and its witnesses into a DerivationStep is left to the
+    caller, for the rewrites it keeps."""
+    table = _WordTable(sigma, bounds, image_pool)
+    key = t.sort_key()
     found = []
     pruned = 0
-    for rewrite in _rewrites(_orientations(sigma), t.sort_key(), bounds, image_pool):
+    for rewrite in _rewrites(table, table.mask(w.letters for w in t.words), key):
         if rewrite is None:
             pruned += 1
         else:
-            t_next, witnesses = rewrite
-            found.append((term_key(t_next), witnesses))
+            found.append((table.key(rewrite[0]), table.witnesses(rewrite)))
     found.sort(key=itemgetter(0))
     return found, pruned
 
@@ -325,11 +437,16 @@ def search_derivation(sigma: list[Identity], claim: Identity,
     A returned derivation always passes :func:`check_derivation`; exhaustion
     only means nothing was found inside the bounds, never non-derivability.
     Substitution images are searched over single words (at most
-    max_subst_image letters each).
+    max_subst_image letters each). A claim whose right side exceeds the
+    bounds is reported exhausted at once: every term the search reaches is
+    inside them.
 
-    Terms are visited in the order of the sorted :func:`sorted_rewrites` lists,
-    each reached by the first rewrite that gives it. The search keeps terms
-    as raw letter tuples and builds Terms and DerivationSteps only for the
+    Terms are visited as the sorted :func:`sorted_rewrites` lists would
+    visit them, each reached by the first rewrite that gives it. The search
+    keeps terms as ints over one word table (see :class:`_WordTable`) and
+    computes sort keys only where order is read: once per level, to sort
+    the next frontier, and at the goal, to count the terms its expansion
+    reached below it. Terms and DerivationSteps are built only for the
     chain it returns.
     """
     if min(bounds.max_chain, bounds.max_word_len, bounds.max_summands,
@@ -340,59 +457,61 @@ def search_derivation(sigma: list[Identity], claim: Identity,
         return SearchResult(Derivation(list(sigma), [start], []), "found", 1)
     if not bounds.admits(start):
         return SearchResult(None, "exhausted: claim's left side exceeds bounds", 0)
-    image_pool = sorted(content(start) | content(goal)) or ["x"]
-    rules = _orientations(sigma)
-    goal_set = frozenset(w.letters for w in goal.words)
-    # reached term -> (sort key of the term it was reached from, witnesses)
-    back: dict[frozenset[Letters], tuple[TermKey, tuple] | None] = {
-        frozenset(w.letters for w in start.words): None
-    }
-    frontier = [start.sort_key()]
+    if not bounds.admits(goal):
+        return SearchResult(None, "exhausted: claim's right side exceeds bounds", 0)
+    table = _WordTable(sigma, bounds, sorted(content(start) | content(goal)) or ["x"])
+    goal_mask = table.mask(w.letters for w in goal.words)
+    start_mask = table.mask(w.letters for w in start.words)
+    # reached term -> (the term it was reached from, the rewrite) or None
+    back: dict[int, tuple[int, tuple] | None] = {start_mask: None}
+    frontier = [(start.sort_key(), start_mask)]
     sizes: list[int] = []
     pruned = 0
     for _ in range(bounds.max_chain - 1):
         sizes.append(len(frontier))
-        nxt: list[TermKey] = []
-        for t in frontier:
-            first: dict[frozenset[Letters], tuple] = {}
-            for rewrite in _rewrites(rules, t, bounds, image_pool):
+        nxt: list[int] = []
+        for key, t in frontier:
+            first = len(nxt)
+            for rewrite in _rewrites(table, t, key):
                 if rewrite is None:
                     pruned += 1
                     continue
-                t_next, witnesses = rewrite
-                if t_next not in first and t_next not in back:
-                    first[t_next] = witnesses
-            for key, t_next in sorted((term_key(t_next), t_next) for t_next in first):
-                back[t_next] = (t, first[t_next])
-                if t_next == goal_set:
-                    return SearchResult(_chain_to(sigma, back, key), "found",
-                                        len(back), pruned, tuple(sizes))
-                nxt.append(key)
+                t_next = rewrite[0]
+                if t_next not in back:
+                    back[t_next] = (t, rewrite)
+                    nxt.append(t_next)
+            if goal_mask in back:
+                # an expansion's new terms are taken in key order, up to the goal
+                goal_key = goal.sort_key()
+                new = nxt[first:]
+                below = sum(table.key(m) < goal_key for m in new)
+                explored = len(back) - len(new) + below + 1
+                return SearchResult(_chain_to(sigma, table, back, goal_mask), "found",
+                                    explored, pruned, tuple(sizes))
         if not nxt:
             reason = "exhausted: no unexplored terms within bounds"
             if pruned:
                 reason += f" ({pruned} rewrites pruned by bound overflow)"
             return SearchResult(None, reason, len(back), pruned, tuple(sizes))
-        nxt.sort()
-        frontier = nxt
+        frontier = sorted((table.key(m), m) for m in nxt)
     return SearchResult(
         None, f"exhausted: chain bound {bounds.max_chain} reached", len(back),
         pruned, tuple(sizes),
     )
 
 
-def _chain_to(sigma: list[Identity], back, key: TermKey) -> Derivation:
-    """The derivation from the search's start to the term with sort key
-    ``key``, read off the search's back pointers."""
+def _chain_to(sigma: list[Identity], table: _WordTable, back, t: int) -> Derivation:
+    """The derivation from the search's start to the term t, read off the
+    search's back pointers."""
     chain: list[Term] = []
     steps: list[DerivationStep] = []
     while True:
-        chain.append(Term._of_letters(letters for _, letters in key))
-        entry = back[frozenset(letters for _, letters in key)]
+        chain.append(Term._of_letters(table.words(t)))
+        entry = back[t]
         if entry is None:
             break
-        key, witnesses = entry
-        steps.append(_step(*witnesses))
+        t, rewrite = entry
+        steps.append(_step(*table.witnesses(rewrite)))
     chain.reverse()
     steps.reverse()
     return Derivation(list(sigma), chain, steps)

@@ -489,6 +489,15 @@ class TestDerive:
             "search: explored 7 terms, pruned 56 rewrites, frontier sizes 1, 2, 4"
         )
 
+    def test_search_right_side_over_bounds(self, capsys):
+        code, out, err = run(
+            capsys, "derive", "search", "--rule", "xy = yx", "--rule", "x = xx",
+            "--claim", "ab + c = aaaaaaa", "--max-chain", "5", "--stats",
+        )
+        assert code == 1 and out == ""
+        assert err == ("search: explored 0 terms, pruned 0 rewrites, frontier sizes -\n"
+                       "exhausted: claim's right side exceeds bounds (explored 0 terms)\n")
+
     def test_zero_bound_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "derive", "search", "--rule", "xy = yx",
                              "--claim", "xy = yx", "--max-chain", "0")

@@ -493,6 +493,26 @@ def assert_same_search(sigma, claim, bounds):
     return ours
 
 
+def far_claim(rng, sigma, bounds, extra):
+    """A claim drawn as _random_reachable_claim draws it, its right side
+    then taken ``extra`` more random rewrites inside the bounds, so that
+    the search may have to go deeper than the generator's two steps."""
+    start, cur = _random_reachable_claim(rng, sigma, bounds)
+    pool = sorted(content(start)) or ["a"]
+    for _ in range(extra):
+        options, _ = sorted_rewrites(sigma, cur, bounds, pool)
+        if not options:
+            break
+        cur = Term._of_letters(w for _, w in options[rng.randrange(len(options))][0])
+    return start, cur
+
+
+#: bounds below SOUNDNESS_BOUNDS on every count but the chain: rewrites are
+#: pruned for long words and for many summands alike, images are one letter
+#: per variable, and goals lie up to four steps away
+TIGHT_BOUNDS = SearchBounds(max_chain=5, max_word_len=3, max_summands=3, max_subst_image=1)
+
+
 class TestAgainstObjectSearch:
     def test_fuzzed_corpus(self):
         rng = random.Random(2718)
@@ -506,6 +526,50 @@ class TestAgainstObjectSearch:
                         == reference_neighbors(sigma, term, SOUNDNESS_BOUNDS, pool))
             reasons.add(assert_same_search(sigma, claim, SOUNDNESS_BOUNDS).reason)
         assert "found" in reasons
+
+    def test_fuzzed_corpus_under_tight_bounds(self):
+        rng = random.Random(1)
+        deep = pruned = 0
+        for _ in range(100):
+            sigma = _random_sigma(rng)
+            claim = far_claim(rng, sigma, TIGHT_BOUNDS, 2)
+            pool = sorted(content(claim[0]) | content(claim[1])) or ["x"]
+            for term in claim:
+                assert (neighbors(sigma, term, TIGHT_BOUNDS, pool)
+                        == reference_neighbors(sigma, term, TIGHT_BOUNDS, pool))
+            result = assert_same_search(sigma, claim, TIGHT_BOUNDS)
+            deep += result.found and len(result.frontier_sizes) >= 3
+            pruned += result.pruned > 0
+        assert deep >= 5 and pruned >= 10
+
+    def test_exhausted_search_of_many_terms(self):
+        # every expansion after the first meets host words that earlier
+        # expansions already matched
+        result = assert_same_search([identity("xy = yx"), identity("x = xx")],
+                                    (t("ab + c"), t("d")), SearchBounds(max_chain=4))
+        assert result.reason == "exhausted: chain bound 4 reached"
+        assert result.explored == 1933 and result.pruned == 1008
+
+    def test_image_of_four_words_in_search(self):
+        # a base of four words keeps none or all of them in the search too
+        result = assert_same_search([identity("x + y + z + w = xyzw"), identity("xy = yx")],
+                                    (t("a + b + c + d"), t("bacd")), SOUNDNESS_BOUNDS)
+        assert result.found and result.frontier_sizes == (1,)
+
+    @pytest.mark.parametrize("term,bounds", [
+        ("abcdefg + ab + a", SearchBounds(max_word_len=6)),
+        ("a + b + c + ab + ba + abc", SearchBounds(max_summands=5)),
+    ])
+    def test_terms_outside_the_bounds(self, term, bounds):
+        # sorted_rewrites may be given a term the search never reaches; a
+        # rewrite that keeps one of its long words is pruned too, while
+        # xy = x may shorten that word and be kept
+        sigma = [identity("xy = yx"), identity("x + xy = x"), identity("xy = x")]
+        term = t(term)
+        assert not bounds.admits(term)
+        ours = neighbors(sigma, term, bounds, ["a", "b", "c"])
+        assert ours == reference_neighbors(sigma, term, bounds, ["a", "b", "c"])
+        assert ours[0] and ours[1] > 0
 
     def test_duplicates_kept_by_neighbors(self):
         # x = x + x rewrites ab + abab to the same term in several ways;
@@ -571,6 +635,16 @@ class TestSearchCounters:
         over = search_derivation([identity("xy = yx")], (big, big + t("x")),
                                  SearchBounds(max_word_len=3))
         assert (over.explored, over.pruned, over.frontier_sizes) == (0, 0, ())
+
+    def test_oversized_right_side_expands_nothing(self):
+        # no term the search reaches exceeds the bounds, so neither can the goal
+        result = search_derivation([identity("xy = yx"), identity("x = xx")],
+                                   (t("ab + c"), t("aaaaaaa")), SearchBounds(max_chain=5))
+        assert result.reason == "exhausted: claim's right side exceeds bounds"
+        assert (result.explored, result.pruned, result.frontier_sizes) == (0, 0, ())
+        many = search_derivation([identity("xy = yx")], (t("ab"), t("a + b + c + ba")),
+                                 SearchBounds(max_summands=3))
+        assert many.reason == "exhausted: claim's right side exceeds bounds"
 
     def test_exhausted_search_expands_every_term_it_reaches(self):
         result = search_derivation([identity("x = xx")], (t("a"), t("b")),
